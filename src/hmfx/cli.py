@@ -105,6 +105,7 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
         "sigma": sigma, "K": K, "boundary": u0.name,
         "iterations": len(state.step_norms),
         "contraction_ratios": list(state.contraction_ratios),
+        "linear_iterations": list(state.linear_iterations),
         "x_norm": state.x_norm_V, "static_residual": state.static_residual,
         "barrier_ratio": state.barrier_ratio, "converged": state.converged,
         "sup_fV": decay.sup_fV, "sup_f32_gradV": decay.sup_f32_gradV,
@@ -265,11 +266,15 @@ def cmd_sweep(cfg: RunConfig, out: pathlib.Path, jobs: int = 1) -> dict:
             try:
                 results[tag] = fut.result()[1]
             except HmfxError as exc:
-                failures[tag] = str(exc)
+                failures[tag] = exc
+    # a configuration every child rejects is a config error, not a partial result
+    if failures and not results and all(
+            isinstance(e, ConfigError) for e in failures.values()):
+        raise failures[min(failures)]
     manifest = {
         "command": child_cmd,
         "children": [{"tag": t, **results[t]} for t in sorted(results)],
-        "failures": {t: failures[t] for t in sorted(failures)},
+        "failures": {t: str(failures[t]) for t in sorted(failures)},
     }
     _write_json(out / "manifest.json", manifest)
     if failures:

@@ -5,8 +5,10 @@ fixed point of V -> A^{-1} rhs(V), where A is the weighted Laplacian minus
 the non-compact rank-one penalty linearization (kept on the left, exactly
 as the construction splits it) with a zero Dirichlet condition on the
 outer shell, and rhs collects the penalty nonlinearity Q plus the discrete
-defect of the first approximation.  The linear operator is assembled once
-per (U0, K) and factorized; Picard steps reuse the factorization.
+defect of the first approximation.  The linear operator is never
+assembled: each Picard step runs GMRES on its stencil product, with the
+exact inverse of its separable part, set up once per (U0, K), as the
+preconditioner.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .boundary import BoundaryMap, corotational_map
@@ -25,11 +26,14 @@ from .target import TargetSphere
 from .weighted import CaloricQuadrature, weighted_laplacian_field
 
 AMBIENT_FLOOR = 1e-6
-DIRECT_SOLVE_LIMIT = 30000
+# GMRES stops at this relative residual ||b - A x|| / ||b||
+LINEAR_RTOL = 1e-12
+GMRES_RESTART = 30
+GMRES_MAX_CYCLES = 10
 
 
 def default_grids() -> tuple[RadialGrid, SphereGrid]:
-    """Coarse product grid keeping the linear solve under a second."""
+    """Coarse default product grid; finer sphere grids use the same solve."""
     return RadialGrid.graded(16.0, 0.2), SphereGrid(8, 16)
 
 
@@ -139,11 +143,78 @@ def assemble_rhs(U0: MapField, V: MapField, K: float,
 # linear Dirichlet operator
 
 
-class LinearizedOperator:
-    """Factorized discrete Delta_f - K chi' <u_hat, .> u_hat, zero outer shell.
+class SeparableInverse:
+    """Exact inverse of Delta_f - S for a constant symmetric m x m matrix S.
 
-    Unknowns: the origin vector plus every interior shell node; the
-    discretization matches ``weighted_laplacian_field`` entry for entry.
+    Same stencils and zero outer shell as ``weighted_laplacian_field``.
+    The eigenbasis of S decouples the components into Delta_f - mu; a real
+    FFT in phi leaves one theta operator per phi mode, symmetric under the
+    sqrt(sin theta) similarity, and its eigenvectors leave one radial
+    tridiagonal system per (phi mode, theta eigenvalue).  The origin only
+    sees the constant sphere mode, through the shell mean: it is row 0 of
+    that mode's radial system and an identity row in every other mode.
+    """
+
+    def __init__(self, radial: RadialGrid, sphere: SphereGrid, n: int,
+                 shift: np.ndarray):
+        nt, nph = sphere.n_theta, sphere.n_phi
+        dt, dp = sphere.d_theta, sphere.d_phi
+        sin_c = np.sin(sphere.theta)
+        faces = np.sin(sphere.theta[:-1] + 0.5 * dt) / dt**2  # rows j, j + 1
+        main = -(np.append(faces, 0.0) + np.insert(faces, 0, 0.0)) / sin_c
+        off = faces / np.sqrt(sin_c[:-1] * sin_c[1:])
+        phi_eig = (2.0 * np.cos(dp * np.arange(nph // 2 + 1)) - 2.0) / dp**2
+        ops = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+               + phi_eig[:, None, None] * np.diag(sin_c**-2.0))
+        lam, self._Q = np.linalg.eigh(ops)  # ascending: the constant is last
+        self._s = np.sqrt(sin_c)
+        # a constant shell value v0 has coefficient alpha * v0 in the
+        # constant mode, and the shell mean is that coefficient / alpha
+        self._alpha = nph * float(self._Q[0, :, -1] @ self._s)
+        self._n_phi = nph
+
+        mu, self._P = np.linalg.eigh(shift)
+        r = radial.nodes[1:-1]
+        rad = (radial.d2_weights[1:-1]
+               + ((n - 1) / r + 0.5 * r)[:, None] * radial.d1_weights[1:-1])
+        coeff0 = 2.0 * n / radial.nodes[1] ** 2
+        rows = np.arange(1, radial.size - 1)  # row 0 is the origin slot
+        mats = np.zeros((phi_eig.size, nt, mu.size, rows.size + 1, rows.size + 1))
+        mats[..., rows, rows - 1] = rad[:, 0]
+        mats[..., rows, rows] = rad[:, 1] + lam[:, :, None, None] / r**2 - mu[:, None]
+        mats[..., rows[:-1], rows[:-1] + 1] = rad[:-1, 2]
+        mats[..., 0, 0] = 1.0
+        mats[0, -1, :, 0, 0] = -(coeff0 + mu)
+        mats[0, -1, :, 0, 1] = coeff0
+        self._inv = np.linalg.inv(mats)
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        """Solution for a packed right-hand side (origin, interior shells)."""
+        n_modes, nt, m = self._inv.shape[:3]
+        shells = vec[m:].reshape(-1, nt, self._n_phi, m) @ self._P
+        # (phi mode, theta row, component, shell)
+        spec = np.fft.rfft(shells, axis=2).transpose(2, 1, 3, 0) \
+            * self._s[:, None, None]
+        rhs = np.zeros(spec.shape[:3] + (spec.shape[3] + 1,), dtype=complex)
+        rhs[..., 1:] = (self._Q.transpose(0, 2, 1)
+                        @ spec.reshape(n_modes, nt, -1)).reshape(spec.shape)
+        rhs[0, -1, :, 0] = self._alpha * (vec[:m] @ self._P)
+        sol = self._inv @ np.stack([rhs.real, rhs.imag], axis=-1)
+        sol = sol[..., 0] + 1j * sol[..., 1]
+        spec = (self._Q @ sol[..., 1:].reshape(n_modes, nt, -1)) \
+            .reshape(spec.shape) / self._s[:, None, None]
+        shells = np.fft.irfft(spec.transpose(3, 1, 0, 2), n=self._n_phi, axis=2)
+        origin = sol[0, -1, :, 0].real / self._alpha
+        return np.concatenate([origin @ self._P.T,
+                               (shells @ self._P.T).reshape(-1)])
+
+
+class LinearizedOperator:
+    """Discrete Delta_f - K chi' <u_hat, .> u_hat with a zero outer shell.
+
+    Unknowns: the origin vector plus every interior shell node.  Matrix
+    free: the product is ``apply`` and ``solve`` runs GMRES preconditioned
+    by ``SeparableInverse`` with the penalty replaced by its grid mean.
     """
 
     def __init__(self, U0: MapField, K: float,
@@ -153,100 +224,19 @@ class LinearizedOperator:
         self.U0 = U0
         self.K = K
         self.target = target if target is not None else TargetSphere(m=U0.m)
-        self._build()
-
-    def _build(self):
-        U0, K = self.U0, self.K
-        grid, sph, m = U0.radial, U0.sphere, U0.m
-        N, nt, nph = grid.size, sph.n_theta, sph.n_phi
-        self._shape = (N, nt, nph, m)
-        n_dom = U0.n
-        r = grid.nodes
-        d1w, d2w = grid.d1_weights, grid.d2_weights
-        dt, dp = sph.d_theta, sph.d_phi
-        theta = sph.theta
-        sin_c = np.sin(theta)
-        sin_f = np.sin(theta + 0.5 * dt)
-        sin_f0 = np.sin(theta - 0.5 * dt)
-        w_mean = sph.weights / (4.0 * np.pi)
-
-        def idx(i, j, k, c):
-            return m + (((i - 1) * nt + j) * nph + k) * m + c
-
-        n_unknown = m + (N - 2) * nt * nph * m
-        self.n_unknown = n_unknown
-        rows, cols, vals = [], [], []
-
-        def add(a, b, v):
-            rows.append(a)
-            cols.append(b)
-            vals.append(v)
-
-        _, chi0, uhat = _chi_and_unit(U0.values, self.target)
-
-        # origin rows
-        coeff0 = 2.0 * n_dom / r[1] ** 2
-        for c in range(m):
-            add(c, c, -coeff0)
-            for j in range(nt):
-                for k in range(nph):
-                    add(c, idx(1, j, k, c), coeff0 * w_mean[j, k])
-            for c2 in range(m):
-                add(c, c2, -K * chi0[0, 0, 0] * uhat[0, 0, 0, c] * uhat[0, 0, 0, c2])
-
-        # interior rows
-        for i in range(1, N - 1):
-            cr = (n_dom - 1) / r[i] + 0.5 * r[i]
-            rad = (d2w[i, 0] + cr * d1w[i, 0],
-                   d2w[i, 1] + cr * d1w[i, 1],
-                   d2w[i, 2] + cr * d1w[i, 2])
-            inv_r2 = 1.0 / r[i] ** 2
-            for j in range(nt):
-                c_th_p = sin_f[j] / (sin_c[j] * dt * dt) if j < nt - 1 else 0.0
-                c_th_m = sin_f0[j] / (sin_c[j] * dt * dt) if j > 0 else 0.0
-                c_ph = 1.0 / (sin_c[j] ** 2 * dp * dp)
-                diag_sph = -(c_th_p + c_th_m + 2.0 * c_ph)
-                for k in range(nph):
-                    for c in range(m):
-                        row = idx(i, j, k, c)
-                        # radial coupling
-                        if i - 1 == 0:
-                            add(row, c, rad[0])
-                        else:
-                            add(row, idx(i - 1, j, k, c), rad[0])
-                        add(row, row, rad[1] + inv_r2 * diag_sph)
-                        if i + 1 < N - 1:
-                            add(row, idx(i + 1, j, k, c), rad[2])
-                        # angular coupling
-                        if c_th_p:
-                            add(row, idx(i, j + 1, k, c), inv_r2 * c_th_p)
-                        if c_th_m:
-                            add(row, idx(i, j - 1, k, c), inv_r2 * c_th_m)
-                        add(row, idx(i, j, (k + 1) % nph, c), inv_r2 * c_ph)
-                        add(row, idx(i, j, (k - 1) % nph, c), inv_r2 * c_ph)
-                        # rank-one penalty linearization
-                        fac = -K * chi0[i, j, k] * uhat[i, j, k, c]
-                        for c2 in range(m):
-                            add(row, idx(i, j, k, c2), fac * uhat[i, j, k, c2])
-
-        mat = scipy.sparse.csc_matrix(
-            (vals, (rows, cols)), shape=(n_unknown, n_unknown))
-        self._mat = mat
-        # small systems factorize exactly; large ones use an incomplete
-        # factorization as preconditioner (direct fill-in grows too fast)
-        try:
-            if n_unknown <= DIRECT_SOLVE_LIMIT:
-                self._lu = scipy.sparse.linalg.splu(mat)
-                self._precond = None
-            else:
-                self._lu = None
-                ilu = scipy.sparse.linalg.spilu(mat, drop_tol=1e-5,
-                                                fill_factor=20)
-                self._precond = scipy.sparse.linalg.LinearOperator(
-                    mat.shape, ilu.solve)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"operator factorization failed: {exc}")
-        self._idx = idx
+        _, self._chi0, self._uhat = _chi_and_unit(U0.values, self.target)
+        N, nt, nph, m = self._shape = U0.values.shape
+        self.n_unknown = m + (N - 2) * nt * nph * m
+        self.iterations: list[int] = []  # GMRES iterations per solve
+        # sphere-weighted mean of K chi' u_hat u_hat^T over interior shells
+        w = self._chi0[1:-1] * U0.sphere.weights / (4.0 * np.pi * (N - 2))
+        shift = K * np.einsum("ijk,ijka,ijkb->ab", w, self._uhat[1:-1],
+                              self._uhat[1:-1])
+        shape = (self.n_unknown, self.n_unknown)
+        self._A = scipy.sparse.linalg.LinearOperator(
+            shape, lambda x: self._pack(self.apply(self._unpack(x))))
+        self._M = scipy.sparse.linalg.LinearOperator(
+            shape, SeparableInverse(U0.radial, U0.sphere, U0.n, shift))
 
     def _pack(self, field: MapField) -> np.ndarray:
         v = field.values
@@ -264,25 +254,30 @@ class LinearizedOperator:
 
     def solve(self, rhs: MapField) -> MapField:
         """W with A W = rhs in the interior, W = 0 on the outer shell."""
-        b = self._pack(rhs)
-        if self._lu is not None:
-            sol = self._lu.solve(b)
-        else:
-            sol, info = scipy.sparse.linalg.lgmres(
-                self._mat, b, M=self._precond, rtol=1e-10, atol=0.0,
-                maxiter=300)
-            if info != 0:
-                raise LinearSolveError(
-                    f"iterative linear solve did not converge (info={info})")
+        count = 0
+
+        def tick(_):
+            nonlocal count
+            count += 1
+
+        sol, info = scipy.sparse.linalg.gmres(
+            self._A, self._pack(rhs), M=self._M, rtol=LINEAR_RTOL, atol=0.0,
+            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, callback=tick,
+            callback_type="pr_norm")
+        self.iterations.append(count)
+        if info != 0:
+            raise LinearSolveError(
+                f"GMRES missed relative residual {LINEAR_RTOL:g} "
+                f"after {count} iterations")
         if not np.all(np.isfinite(sol)):
             raise LinearSolveError("linear solve produced non-finite entries")
         return self._unpack(sol)
 
     def apply(self, field: MapField) -> MapField:
-        """Forward application (for manufactured-solution verification)."""
+        """Forward product A field (the outer shell row is not meaningful)."""
         lap = weighted_laplacian_field(field)
-        _, chi0, uhat = _chi_and_unit(self.U0.values, self.target)
-        lin = -self.K * chi0[..., None] \
+        uhat = self._uhat
+        lin = -self.K * self._chi0[..., None] \
             * (uhat * field.values).sum(axis=-1)[..., None] * uhat
         return field.with_values(lap.values + lin)
 
@@ -320,6 +315,7 @@ class FixedPointState:
     static_residual: float
     barrier_ratio: float
     converged: bool
+    linear_iterations: tuple  # GMRES iterations per Picard step
 
 
 def static_residual(U0: MapField, V: MapField, K: float,
@@ -377,7 +373,8 @@ def picard_iterate(U0: MapField, K: float, sigma: float = 0.0,
             break
     resid = static_residual(U0, V, K, target)
     return FixedPointState(sigma, K, U0, V, x_norm(V), tuple(steps),
-                           tuple(ratios), resid, barrier, converged)
+                           tuple(ratios), resid, barrier, converged,
+                           tuple(op.iterations))
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,12 @@ class TestSweep:
             tag = child["tag"].replace("=", "_")
             assert (out / tag / "coefficients.csv").exists()
             assert (out / tag / "summary.json").exists()
+
+    def test_config_error_in_every_child_is_config_error(self, tmp_path):
+        # solve-gl needs run.h_inf, which has no default: the whole ladder
+        # fails on configuration, which is not a partial result
+        code, _, summary = run(tmp_path, "sweep",
+                               "--set", "run.sweep_command=solve-gl")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "missing config key 'run.h_inf'" in summary["error"]

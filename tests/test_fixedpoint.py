@@ -1,13 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
+from hmfx import fixedpoint
 from hmfx.boundary import constant_map, corotational_map
+from hmfx.cli import EXIT_OK, main
+from hmfx.config import RunConfig
 from hmfx.corotational import solve_gl_corot
+from hmfx.errors import LinearSolveError
 from hmfx.fields import MapField, x_norm
 from hmfx.fixedpoint import (LinearizedOperator, assemble_Q, assemble_rhs,
                              caloric_corotational_field, default_grids,
                              path_map, picard_iterate, static_residual,
                              verify_decay)
+from hmfx.grids import SphereGrid
 from hmfx.weighted import caloric_extension_points
 
 
@@ -56,28 +63,62 @@ class TestCaloricShortcut:
         np.testing.assert_allclose(U0.values[0, :, :, :3], 0.0, atol=1e-12)
 
 
+def manufactured_error(U0):
+    """Max error of solve(apply(W)) for a smooth Dirichlet-zero field W."""
+    radial, sphere = U0.radial, U0.sphere
+
+    def w_fn(pts):
+        rr = np.linalg.norm(pts, axis=-1, keepdims=True)
+        bump = rr**2 * (radial.r_max - rr) ** 2 / radial.r_max**4
+        return bump * np.stack([np.sin(pts[..., 0]),
+                                np.cos(pts[..., 1]),
+                                pts[..., 2] / (1.0 + rr[..., 0]),
+                                np.ones(pts.shape[:-1])], axis=-1) * 0.01
+
+    W = MapField.from_function(radial, sphere, w_fn)
+    vals = W.values.copy()
+    vals[-1] = 0.0
+    W = W.with_values(vals)
+    op = LinearizedOperator(U0, 10.0)
+    recovered = op.solve(op.apply(W))
+    return np.abs(recovered.values[:-1] - W.values[:-1]).max()
+
+
 class TestLinearizedOperator:
     def test_manufactured_solution(self, U0):
         # apply then solve must reproduce a smooth Dirichlet-zero field
-        radial, sphere = U0.radial, U0.sphere
-        r = radial.nodes
+        assert manufactured_error(U0) < 1e-9
 
-        def w_fn(pts):
-            rr = np.linalg.norm(pts, axis=-1, keepdims=True)
-            bump = rr**2 * (radial.r_max - rr) ** 2 / radial.r_max**4
-            return bump * np.stack([np.sin(pts[..., 0]),
-                                    np.cos(pts[..., 1]),
-                                    pts[..., 2] / (1.0 + rr[..., 0]),
-                                    np.ones(pts.shape[:-1])], axis=-1) * 0.01
+    def test_manufactured_solution_fine_sphere(self, grids):
+        radial, _ = grids
+        U0 = caloric_corotational_field(corotational_map(0.1), radial,
+                                        SphereGrid(16, 32))
+        assert manufactured_error(U0) < 1e-9
 
-        W = MapField.from_function(radial, sphere, w_fn)
-        vals = W.values.copy()
-        vals[-1] = 0.0
-        W = W.with_values(vals)
+    @pytest.mark.parametrize("vec", [[0.0, 0.0, 0.0, 1.0],
+                                     [0.3, -0.2, 0.1, 0.9]])
+    def test_preconditioner_exact_for_constant_U0(self, grids, vec):
+        # a constant U0 makes the penalty matrix uniform, so the separable
+        # preconditioner is the exact inverse: GMRES converges in one step
+        radial, _ = grids
+        sphere = SphereGrid(8, 24)
+        U0 = MapField.constant(radial, sphere, vec)
         op = LinearizedOperator(U0, 10.0)
-        recovered = op.solve(op.apply(W))
-        err = np.abs(recovered.values[:-1] - W.values[:-1]).max()
-        assert err < 1e-9
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal(U0.values.shape)
+        vals[0] = vals[0, 0, 0]  # the origin is a single node
+        W = op.solve(U0.with_values(vals))
+        assert op.iterations == [1]
+        res = op.apply(W).values[:-1] - vals[:-1]
+        assert np.abs(res).max() < 1e-9 * np.abs(vals).max()
+
+    def test_missed_tolerance_raises(self, U0, monkeypatch):
+        # two GMRES iterations cannot reach the fixed relative residual
+        monkeypatch.setattr(fixedpoint, "GMRES_RESTART", 2)
+        monkeypatch.setattr(fixedpoint, "GMRES_MAX_CYCLES", 1)
+        op = LinearizedOperator(U0, 10.0)
+        with pytest.raises(LinearSolveError, match="GMRES missed"):
+            op.solve(assemble_rhs(U0, U0.with_values(0.0 * U0.values), 10.0))
 
     def test_solve_is_linear(self, U0):
         radial, sphere = U0.radial, U0.sphere
@@ -167,3 +208,35 @@ class TestDecay:
     def test_static_residual_flags_non_solution(self, U0):
         V = U0.with_values(np.zeros_like(U0.values))
         assert static_residual(U0, V, 10.0) > 1e-3
+
+
+class TestRefinement:
+    def test_fine_sphere_grid_runs_from_the_cli(self, tmp_path):
+        # 16 x 32 once hit "Factor is exactly singular" in an incomplete
+        # factorization used above a size threshold
+        out = tmp_path / "fp"
+        code = main(["fixed-point", "--set", "grid.fp_n_theta=16",
+                     "--set", "grid.fp_n_phi=32", "--set", "run.sigma=0.9",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert len(summary["linear_iterations"]) == summary["iterations"]
+        assert all(n >= 1 for n in summary["linear_iterations"])
+
+    def test_second_order_on_sphere_refinement(self, grids):
+        # x_norm(V) on 8 x 16, 16 x 32, 32 x 64: successive differences
+        # shrink by 4 for a second-order stencil
+        radial, _ = grids
+        K = 10.0
+        bound = RunConfig({}).get_tolerance("tol.static_residual_per_K") * K
+        path = path_map(corotational_map(0.1), 0.5)
+        norms = []
+        for nt in (8, 16, 32):
+            U0 = caloric_corotational_field(path, radial, SphereGrid(nt, 2 * nt))
+            state = picard_iterate(U0, K, sigma=0.5)
+            assert state.converged
+            assert state.static_residual <= bound
+            norms.append(state.x_norm_V)
+        ratio = (norms[0] - norms[1]) / (norms[1] - norms[2])
+        assert 3.0 <= ratio <= 5.0
