@@ -91,7 +91,8 @@ def lipschitz_wedge_map() -> BoundaryMap:
     """Fold map: latitude angle g = min(theta, pi - theta), so the southern
     hemisphere mirrors onto the northern one.  Continuous everywhere (the
     angle vanishes at both poles), Lipschitz with a gradient kink along the
-    equator, not C^1."""
+    equator, not C^1.  Its image is the closed northern hemisphere, so the
+    geodesic homotopy to the north pole contracts it to a constant."""
 
     def fn(dirs):
         w = _unit(dirs)
@@ -104,7 +105,8 @@ def lipschitz_wedge_map() -> BoundaryMap:
         out[..., 2] = np.cos(g)
         return out
 
-    return BoundaryMap("lipschitz-wedge", 3, fn, smoothness="lipschitz")
+    return BoundaryMap("lipschitz-wedge", 3, fn, smoothness="lipschitz",
+                       target_point=np.array([0.0, 0.0, 1.0]))
 
 
 def from_sphere_samples(samples: np.ndarray, sphere: SphereGrid,

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .boundary import BoundaryMap, corotational_map
-from .errors import DivergenceError, GridError, LinearSolveError, SingularPointError
+from .errors import (ConfigError, DivergenceError, GridError, LinearSolveError,
+                     SingularPointError)
 from .fields import MapField, x_norm
 from .grids import RadialGrid, SphereGrid
 from .target import TargetSphere
@@ -50,7 +51,9 @@ def path_map(u0: BoundaryMap, sigma: float) -> BoundaryMap:
     if not (0.0 <= sigma <= 1.0):
         raise GridError("homotopy parameter must lie in [0, 1]")
     if u0.target_point is None:
-        raise GridError("boundary map carries no target point for the homotopy")
+        raise ConfigError(
+            f"boundary map {u0.name!r} is not homotopic to a constant: it carries "
+            "no target point for the homotopy")
     if u0.is_corotational:
         return corotational_map((1.0 - sigma) * u0.h_inf, u0.m - 1)
     P = np.asarray(u0.target_point, dtype=float)
@@ -80,7 +83,7 @@ def caloric_corotational_field(u0: BoundaryMap, radial: RadialGrid,
     """
     if not u0.is_corotational or u0.m != 4:
         raise GridError("symmetric extension needs corotational data into S^3")
-    quad = quad if quad is not None else CaloricQuadrature(20, 16, 32)
+    quad = quad if quad is not None else CaloricQuadrature()
     probes = np.zeros((radial.size, 3))
     probes[:, 2] = radial.nodes
     vals = quad.extend(u0, probes, t=1.0)  # (Nr, 4): (0, 0, P, Q)

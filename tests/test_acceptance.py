@@ -70,7 +70,7 @@ def _deviation_ladder(name):
         u0 = {"wedge": lipschitz_wedge_map(),
               "smooth": identity_sphere_map()}[name]
         radii = np.array([4.0, 7.0, 12.0, 20.0, 33.0, 50.0])
-        quad = CaloricQuadrature(20, 16, 32)
+        quad = CaloricQuadrature()
         samples = {}
 
         def evaluate(pts):
@@ -299,7 +299,7 @@ def test_criterion_09_eps_regularity_and_decay_chain():
 def test_criterion_10_caloric_extension():
     with _criterion(10, 60.0, "maximum principle, decay slopes, and "
                               "0-homogeneous self-similarity"):
-        quad = CaloricQuadrature(20, 16, 32)
+        quad = CaloricQuadrature()
         base_pts = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 7.0],
                              [1.0, 1.0, 1.0]])
         for name, slope_target, tol in (("wedge", -1.0, 0.2),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hmfx.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main)
+from hmfx.config import RunConfig
 
 
 def run(tmp_path, *args):
@@ -41,6 +42,28 @@ class TestExitCodes:
         assert summary["status"] == "solver-error"
         lo, hi = summary["reachable_range"]
         assert lo < hi < 3.0
+
+
+class TestFixedPointData:
+    def test_wedge_data_converges(self, tmp_path):
+        # the fold maps into the closed northern hemisphere, so the geodesic
+        # homotopy to the north pole is defined and the generic caloric
+        # extension feeds the Picard iteration
+        code, _, summary = run(tmp_path, "fixed-point",
+                               "--set", "run.boundary=lipschitz-wedge",
+                               "--set", "run.sigma=0.9")
+        assert code == EXIT_OK
+        assert summary["converged"] is True
+        bound = RunConfig({}).get_tolerance("tol.static_residual_per_K") * summary["K"]
+        assert summary["static_residual"] <= bound
+
+    def test_data_not_homotopic_to_a_constant_is_config_error(self, tmp_path):
+        code, _, summary = run(tmp_path, "fixed-point",
+                               "--set", "run.boundary=identity-sphere",
+                               "--set", "run.sigma=0.9")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "'identity-sphere' is not homotopic to a constant" in summary["error"]
 
 
 class TestSummaries:

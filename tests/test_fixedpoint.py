@@ -51,13 +51,14 @@ class TestPathMap:
 
 class TestCaloricShortcut:
     def test_matches_generic_quadrature(self, U0):
-        # the per-radius symmetry shortcut must agree with the full
-        # three-dimensional heat-kernel quadrature
+        # the per-radius symmetry shortcut must agree with the generic
+        # extension at each point; the cap rule is exact on corotational
+        # data, so they agree to rounding
         u0 = corotational_map(0.1)
         idx = [5, 12, 19]
         pts = U0.points[idx, 3, 7]
         direct = caloric_extension_points(u0, pts)
-        np.testing.assert_allclose(U0.values[idx, 3, 7], direct, atol=5e-4)
+        np.testing.assert_allclose(U0.values[idx, 3, 7], direct, atol=1e-12)
 
     def test_origin_hits_target_point(self, U0):
         np.testing.assert_allclose(U0.values[0, :, :, :3], 0.0, atol=1e-12)
