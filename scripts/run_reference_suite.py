@@ -62,7 +62,7 @@ def main():
     for a in (0.02, 0.05, 0.1):
         res = shoot_hm(args.n, a)
         print(f"a={a:5.3f} -> h_inf={res.h_inf:+.6f}  "
-              f"converged={res.converged}")
+              f"residual={res.residual_sup:.2e}")
 
 
 if __name__ == "__main__":

@@ -189,7 +189,8 @@ def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
         raise ConfigError("diagnostics need corotational or constant data")
     if abs(u0.h_inf - np.pi / 2.0) < 1e-12:
         return solutions.equator_solution()
-    result = solve_corot(3, u0.h_inf, r_max=cfg.get_float("grid.r_max"))
+    result = solve_corot(3, u0.h_inf, r_max=cfg.get_float("grid.r_max"),
+                         tol=cfg.get_tolerance("tol.shoot"))
     return solutions.from_shooting(result)
 
 

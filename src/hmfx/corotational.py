@@ -76,6 +76,52 @@ def hm_residual(profile: CorotationalProfile, n: int | None = None) -> np.ndarra
     return res
 
 
+class HermiteProfile:
+    """Piecewise-quintic Hermite angle profile r -> (h(r), h'(r)).
+
+    Built on the integrator's accepted steps from the node values (h, h',
+    h''), so it is C^2 and has the integrator's local order.  Calling it
+    locates each radius with one ``searchsorted`` and evaluates h and h'
+    together by Horner's rule; radii past the last node use the last
+    piece.
+    """
+
+    def __init__(self, r, h, dh, d2h):
+        self.r, self.h, self.dh, self.d2h = (np.asarray(a, dtype=float)
+                                             for a in (r, h, dh, d2h))
+        dx = np.diff(self.r)
+        dy = np.diff(self.h)
+        d0, d1 = self.dh[:-1] * dx, self.dh[1:] * dx
+        e0, e1 = self.d2h[:-1] * dx * dx, self.d2h[1:] * dx * dx
+        # coefficients in s = (r - r_k) / dx_k, lowest order first
+        self._coef = np.array([
+            self.h[:-1], d0, 0.5 * e0,
+            10.0 * dy - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * e0 - e1),
+            -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * e0 - 2.0 * e1),
+            6.0 * dy - 3.0 * d0 - 3.0 * d1 - 0.5 * (e0 - e1)])
+        self._inv_dx = 1.0 / dx
+
+    @classmethod
+    def constant(cls, value: float, r_max: float) -> "HermiteProfile":
+        zero = np.zeros(2)
+        return cls([0.0, r_max], np.full(2, value), zero, zero)
+
+    def negated(self) -> "HermiteProfile":
+        """The profile of -h; rounding is sign-symmetric, so it is exact."""
+        return HermiteProfile(self.r, -self.h, -self.dh, -self.d2h)
+
+    def __call__(self, r) -> tuple[np.ndarray, np.ndarray]:
+        r = np.asarray(r, dtype=float)
+        k = np.clip(np.searchsorted(self.r, r, side="right") - 1,
+                    0, self._inv_dx.size - 1)
+        inv_dx = self._inv_dx[k]
+        s = (r - self.r[k]) * inv_dx
+        c0, c1, c2, c3, c4, c5 = (c[k] for c in self._coef)
+        h = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+        dh = (c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5))))
+        return h, dh * inv_dx
+
+
 @dataclass(frozen=True)
 class ShootingResult:
     """Outcome of one shooting integration of the angle equation."""
@@ -86,43 +132,23 @@ class ShootingResult:
     h_inf: float
     farfield_coeff: float
     residual_sup: float
-    converged: bool
-    dense: object  # OdeSolution; None for constant branches
+    dense: HermiteProfile
 
     def angle_at(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.dense is None:
-            return np.full(r.shape, self.h_inf)
-        out = np.empty(r.shape)
-        small = r < _SERIES_R0
-        if np.any(small):
-            h0, _ = np.vectorize(lambda rr: _series_seed(self.slope, self.profile.n, rr))(
-                np.maximum(r[small], 0.0))
-            out[small] = h0
-        out[~small] = self.dense(r[~small])[0]
-        return out
+        return self.dense(r)[0]
 
     def angle_slope_at(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.dense is None:
-            return np.zeros(r.shape)
-        out = np.empty(r.shape)
-        small = r < _SERIES_R0
-        if np.any(small):
-            _, dh = np.vectorize(lambda rr: _series_seed(self.slope, self.profile.n, rr))(
-                np.maximum(r[small], 0.0))
-            out[small] = dh
-        out[~small] = self.dense(r[~small])[1]
-        return out
+        return self.dense(r)[1]
 
 
 def _constant_branch(n: int, value: float, grid: RadialGrid) -> ShootingResult:
     profile = CorotationalProfile(grid, n, angle=np.full(grid.size, value))
-    return ShootingResult(profile, 0.0, value, value, 0.0, 0.0, True, None)
+    return ShootingResult(profile, 0.0, value, value, 0.0, 0.0,
+                          HermiteProfile.constant(value, grid.r_max))
 
 
 def _dense_defect(dense, n: int, r: np.ndarray, delta: float = 1e-2) -> np.ndarray:
-    """ODE defect of the integrator interpolant via a 5-point stencil on h'."""
+    """ODE defect of the profile interpolant via a 5-point stencil on h'."""
     r = np.asarray(r, dtype=float)
     offs = np.array([-2.0, -1.0, 1.0, 2.0]) * delta
     w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
@@ -137,9 +163,12 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
              fit_window: tuple[float, float] | None = None) -> ShootingResult:
     """Integrate the regular angle solution with initial slope ``slope``.
 
-    The limit angle is the constant of a {1, r^-2} least-squares fit on
-    the tail window, which removes the leading truncation error of simply
-    reading off h(r_max).
+    LSODA (the drift term (r/2) h' makes the equation stiff at large r)
+    runs from the series seed at r = 1e-3; the profile is the quintic
+    Hermite interpolant on its accepted steps, with h'' from the equation
+    and a node (0, slope, 0) at the origin.  The limit angle is the
+    constant of a {1, r^-2} least-squares fit on the tail window, which
+    removes the leading truncation error of simply reading off h(r_max).
     """
     if r_max < 20.0:
         raise GridError("truncation radius must be at least 20")
@@ -152,28 +181,32 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     h0, dh0 = _series_seed(slope, n, _SERIES_R0)
     blow = lambda r, y: abs(y[1]) - _BLOWUP
     blow.terminal = True
+    rhs = _hm_rhs(n)
     sol = scipy.integrate.solve_ivp(
-        _hm_rhs(n), (_SERIES_R0, r_max + 0.1), [h0, dh0], method="DOP853",
-        dense_output=True, rtol=1e-12, atol=1e-13, events=blow)
+        rhs, (_SERIES_R0, r_max + 0.1), [h0, dh0], method="LSODA",
+        rtol=1e-12, atol=1e-13, events=blow)
     if sol.status == 1 or not sol.success:
         raise ShootingDivergedError(
             f"angle integration blew up at r = {sol.t[-1]:.3f} for slope {slope:g}")
+    h, dh = sol.y
+    d2h = rhs(sol.t, sol.y)[1]
+    dense = HermiteProfile(np.concatenate([[0.0], sol.t]),
+                           np.concatenate([[0.0], h]),
+                           np.concatenate([[slope], dh]),
+                           np.concatenate([[0.0], d2h]))
 
     window = fit_window if fit_window is not None else (0.5 * r_max, r_max)
     r_fit = np.linspace(window[0], window[1], 40)
     basis = np.stack([np.ones_like(r_fit), r_fit**-2.0], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, sol.sol(r_fit)[0], rcond=None)
+    coef, *_ = np.linalg.lstsq(basis, dense(r_fit)[0], rcond=None)
     h_inf, farfield = float(coef[0]), float(coef[1])
 
-    h_nodes = np.empty(grid.size)
-    h_nodes[0] = 0.0
-    h_nodes[1:] = sol.sol(grid.nodes[1:])[0]
-    profile = CorotationalProfile(grid, n, angle=h_nodes)
+    profile = CorotationalProfile(grid, n, angle=dense(grid.nodes)[0])
 
     r_check = grid.nodes[(grid.nodes > 0.1) & (grid.nodes < r_max - 0.1)]
-    residual = float(_dense_defect(sol.sol, n, r_check).max())
-    return ShootingResult(profile, slope, float(sol.sol(r_max)[0]), h_inf,
-                          farfield, residual, True, sol.sol)
+    residual = float(_dense_defect(dense, n, r_check).max())
+    return ShootingResult(profile, slope, float(dense(r_max)[0]), h_inf,
+                          farfield, residual, dense)
 
 
 def _attained_range(n: int, r_max: float, grid: RadialGrid) -> tuple[float, float]:
@@ -192,65 +225,64 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
     """Find the regular profile with prescribed limit angle by shooting.
 
     Constant branches (limit angle a zero of sin 2h) are returned exactly;
-    otherwise the initial slope is bracketed and bisected until the
-    attained limit angle matches to ``tol``.
+    otherwise the initial slope is bracketed by doubling and then found by
+    Illinois regula falsi until the attained limit angle matches to
+    ``tol``.  A negative limit angle is the reflection h -> -h of the
+    positive solve.
     """
     grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
     if abs(np.sin(2.0 * h_inf)) < 1e-14:
         return _constant_branch(n, h_inf, grid)
-    sign = 1.0 if h_inf > 0 else -1.0
     target = abs(h_inf)
 
     def attained(a: float) -> ShootingResult:
         return shoot_hm(n, a, r_max, grid)
 
-    lo, hi = 0.0, 0.05
-    res_hi = attained(hi)
+    # the slope-0 shot is the constant branch h = 0, so f(0) = -target
+    lo, f_lo = 0.0, -target
+    hi = 0.05
+    result = attained(hi)
     tries = 0
-    while res_hi.h_inf < target:
-        lo, hi = hi, hi * 2.0
+    while result.h_inf < target:
+        lo, f_lo, hi = hi, result.h_inf - target, hi * 2.0
         tries += 1
         if tries > 12:
             raise NotAttainedError(
                 f"limit angle {target:g} not reached by slopes up to {hi:g}",
                 reachable=_attained_range(n, r_max, grid))
         try:
-            res_hi = attained(hi)
+            result = attained(hi)
         except ShootingDivergedError:
             raise NotAttainedError(
                 f"shooting diverges before attaining limit angle {target:g}",
                 reachable=_attained_range(n, r_max, grid))
-    # bisection on the slope; the attained angle is monotone on the bracket
-    result = res_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res_mid = attained(mid)
-        if abs(res_mid.h_inf - target) < tol:
-            result = res_mid
-            break
-        if res_mid.h_inf < target:
-            lo = mid
+    # Illinois regula falsi; the attained angle is monotone on the bracket
+    f_hi = f = result.h_inf - target
+    side, iters = 0, 0
+    while abs(f) >= tol:
+        if iters == 200:
+            raise NonconvergenceError("slope search failed to meet tolerance",
+                                      last_iterate=result)
+        iters += 1
+        a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        result = attained(a)
+        f = result.h_inf - target
+        if f > 0.0:
+            hi, f_hi = a, f
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
         else:
-            hi, result = mid, res_mid
-    else:
-        raise NonconvergenceError("slope bisection failed to meet tolerance",
-                                  last_iterate=result)
-    if sign < 0:
+            lo, f_lo = a, f
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+    if h_inf < 0:
         prof = CorotationalProfile(result.profile.grid, n, angle=-result.profile.angle)
-        dense = result.dense
-        neg = _NegatedDense(dense) if dense is not None else None
         result = ShootingResult(prof, -result.slope, -result.h_end, -result.h_inf,
                                 -result.farfield_coeff, result.residual_sup,
-                                result.converged, neg)
+                                result.dense.negated())
     return result
-
-
-class _NegatedDense:
-    def __init__(self, dense):
-        self._dense = dense
-
-    def __call__(self, r):
-        return -self._dense(r)
 
 
 # ---------------------------------------------------------------------------

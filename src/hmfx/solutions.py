@@ -76,51 +76,57 @@ class SelfSimilarSolution:
 # equivariant profiles (closed-form gradients)
 
 
-def _equivariant_fns(P, dP, Q, dQ, m: int):
-    """Evaluators for U(x) = (P(r) x/|x|, Q(r)) with radial callables."""
+def _equivariant_fns(radial, m: int):
+    """Evaluators for U(x) = (P(r) x/|x|, Q(r)).
 
-    def fn(points):
+    ``radial(r) -> (P, P', Q, Q')`` is evaluated once per call.
+    """
+
+    def polar(points):
         pts = np.asarray(points, dtype=float)
         r = np.linalg.norm(pts, axis=-1)
         r_safe = np.where(r > 0, r, 1.0)
-        omega = pts / r_safe[..., None]
-        out = np.empty(pts.shape[:-1] + (m,))
-        out[..., :3] = P(r)[..., None] * omega
-        out[..., 3:] = Q(r)[..., None]
-        out[..., :3] = np.where((r > 0)[..., None], out[..., :3], 0.0)
+        return r, r_safe, pts / r_safe[..., None]
+
+    def fn(points):
+        r, _, omega = polar(points)
+        p, _, q, _ = radial(r)
+        out = np.empty(omega.shape[:-1] + (m,))
+        out[..., :3] = np.where((r > 0)[..., None], p[..., None] * omega, 0.0)
+        out[..., 3:] = q[..., None]
         return out
 
     def grad_fn(points):
-        pts = np.asarray(points, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        r_safe = np.where(r > 0, r, 1.0)
-        omega = pts / r_safe[..., None]
-        p, dp = P(r), dP(r)
-        q_prime = dQ(r)
-        out = np.zeros(pts.shape[:-1] + (3, m))
-        eye = np.eye(3)
-        # d_j (P omega_i) = P' w_j w_i + (P / r)(delta_ij - w_i w_j)
-        ww = omega[..., :, None] * omega[..., None, :]
-        out[..., :, :3] = (dp[..., None, None] * ww
-                           + (p / r_safe)[..., None, None] * (eye - ww))
-        out[..., :, 3] = q_prime[..., None] * omega
+        r, r_safe, omega = polar(points)
+        p, dp, _, dq = radial(r)
+        p_r = p / r_safe
+        out = np.zeros(omega.shape[:-1] + (3, m))
+        # d_j (P omega_i) = (P' - P / r) w_j w_i + (P / r) delta_ij
+        out[..., :, :3] = ((dp - p_r)[..., None, None]
+                           * omega[..., :, None] * omega[..., None, :])
+        for i in range(3):
+            out[..., i, i] += p_r
+        out[..., :, 3] = dq[..., None] * omega
         return out
 
     return fn, grad_fn
 
 
-def from_angle(angle_at, angle_slope_at, name: str = "equivariant",
+def from_angle(angle, name: str = "equivariant",
                boundary_angle: float | None = None) -> SelfSimilarSolution:
     """Sphere-valued equivariant solution from an angle profile h(r).
 
-    ``angle_at`` / ``angle_slope_at`` evaluate h and h' at radii (the
-    shooting result exposes both through its dense interpolant).
+    ``angle(r) -> (h, h')`` evaluates the profile and its slope at radii
+    together (a shooting result's Hermite profile does); each evaluation
+    of U or its gradient calls it once.
     """
-    P = lambda r: np.sin(angle_at(r))
-    dP = lambda r: np.cos(angle_at(r)) * angle_slope_at(r)
-    Q = lambda r: np.cos(angle_at(r))
-    dQ = lambda r: -np.sin(angle_at(r)) * angle_slope_at(r)
-    fn, grad_fn = _equivariant_fns(P, dP, Q, dQ, 4)
+
+    def radial(r):
+        h, dh = angle(r)
+        s, c = np.sin(h), np.cos(h)
+        return s, c * dh, c, -s * dh
+
+    fn, grad_fn = _equivariant_fns(radial, 4)
     bgrad = None
     if boundary_angle is not None:
         s2 = 2.0 * np.sin(boundary_angle) ** 2
@@ -137,16 +143,16 @@ def from_shooting(result, name: str | None = None) -> SelfSimilarSolution:
     """Wrap a converged angle shooting result (n = 3 profiles only)."""
     if result.profile.n != 3:
         raise HmfxError("full-space wrappers cover the n = 3 domain only")
-    return from_angle(result.angle_at, result.angle_slope_at,
-                      name or f"corotational({result.h_inf:g})",
+    return from_angle(result.dense, name or f"corotational({result.h_inf:g})",
                       boundary_angle=result.h_inf)
 
 
 def equator_solution() -> SelfSimilarSolution:
     """The exact constant-angle branch h = pi/2 (energy density 1/|x|^2)."""
-    return from_angle(lambda r: np.full(np.shape(r), np.pi / 2.0),
-                      lambda r: np.zeros(np.shape(r)),
-                      "equator", boundary_angle=np.pi / 2.0)
+    def angle(r):
+        return np.full(np.shape(r), np.pi / 2.0), np.zeros(np.shape(r))
+
+    return from_angle(angle, "equator", boundary_angle=np.pi / 2.0)
 
 
 def constant_solution(m: int = 4) -> SelfSimilarSolution:
@@ -173,8 +179,9 @@ def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSo
     grid = profile.grid
     sp_p = scipy.interpolate.CubicSpline(grid.nodes, profile.psi)
     sp_q = scipy.interpolate.CubicSpline(grid.nodes, profile.phi)
-    fn, grad_fn = _equivariant_fns(sp_p, sp_p.derivative(), sp_q,
-                                   sp_q.derivative(), 4)
+    dsp_p, dsp_q = sp_p.derivative(), sp_q.derivative()
+    fn, grad_fn = _equivariant_fns(
+        lambda r: (sp_p(r), dsp_p(r), sp_q(r), dsp_q(r)), 4)
     h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
     s2 = 2.0 * np.sin(h_inf) ** 2
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hmfx import cli
 from hmfx.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main)
 from hmfx.config import RunConfig
 
@@ -91,6 +92,24 @@ class TestSummaries:
         code = main(["asymptotics", "--set", "run.boundary=equator"])
         assert code == EXIT_OK
         assert (tmp_path / "envout" / "summary.json").exists()
+
+
+class TestDiagnose:
+    def test_shooting_tolerance_reaches_the_solve(self, monkeypatch):
+        solve = cli.solve_corot
+        tols = []
+
+        def recorded(*args, **kwargs):
+            tols.append(kwargs.get("tol"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_corot", recorded)
+        cfg = RunConfig({"run.boundary": "corotational(0.2)",
+                         "tol.shoot": "1e-6"})
+        cli._resolve_solution(cfg)
+        assert tols == [pytest.approx(1e-6)]
+        cli._resolve_solution(RunConfig(cfg.values, "strict"))
+        assert tols[1] == pytest.approx(0.5e-6)
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
+from hmfx import corotational
 from hmfx.corotational import (continuation, gl_farfield_correction,
                                gl_residual, hm_residual, shoot_hm,
                                solve_corot, solve_gl_corot)
@@ -12,7 +14,6 @@ from hmfx.grids import RadialGrid
 class TestShooting:
     def test_small_slope_converges(self):
         res = shoot_hm(3, 0.05)
-        assert res.converged
         assert res.residual_sup < 1e-8
         assert 0.0 < res.h_inf < np.pi / 2.0
 
@@ -30,6 +31,26 @@ class TestShooting:
         h_a = shoot_hm(3, 0.05).h_inf
         h_b = shoot_hm(3, 0.10).h_inf
         assert h_b > h_a
+
+    @pytest.mark.parametrize("a", [0.05, 0.8])
+    def test_hermite_profile_matches_reference_integration(self, a):
+        # independent reference: DOP853 dense output from the center series
+        # at r0 = 1e-6, extrapolated over [0, r0)
+        n, r0 = 3, 1e-6
+        c3 = -(a / 2.0 + (2.0 / 3.0) * (n - 1) * a**3) / (2.0 * n + 4.0)
+
+        def rhs(r, y):
+            return (y[1], -((n - 1) / r + 0.5 * r) * y[1]
+                    + (n - 1) / (2.0 * r * r) * np.sin(2.0 * y[0]))
+
+        ref = scipy.integrate.solve_ivp(
+            rhs, (r0, 60.0), [a * r0 + c3 * r0**3, a + 3.0 * c3 * r0**2],
+            method="DOP853", dense_output=True, rtol=1e-12, atol=1e-13).sol
+        r = np.linspace(0.0, 60.0, 6001)
+        h, dh = shoot_hm(n, a, r_max=60.0).dense(r)
+        h_ref, dh_ref = ref(r)
+        assert np.abs(h - h_ref).max() <= 1e-8
+        assert np.abs(dh - dh_ref).max() <= 1e-8
 
 
 class TestBoundaryValueSolve:
@@ -50,6 +71,28 @@ class TestBoundaryValueSolve:
         res = solve_corot(3, -0.2)
         assert res.h_inf == pytest.approx(-0.2, abs=1e-7)
         assert res.slope < 0.0
+
+    def test_negative_angle_is_exact_negation(self):
+        pos, neg = solve_corot(3, 0.2), solve_corot(3, -0.2)
+        r = np.linspace(0.0, 45.0, 1001)
+        assert np.array_equal(neg.angle_at(r), -pos.angle_at(r))
+        assert np.array_equal(neg.angle_slope_at(r), -pos.angle_slope_at(r))
+
+    def test_criterion_3_family_needs_few_shots(self, monkeypatch):
+        shoot = corotational.shoot_hm
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(corotational, "shoot_hm", counted)
+        for n in (3, 4, 5, 6):
+            for h in (0.05, 0.1, 0.2, 0.3):
+                calls.clear()
+                res = corotational.solve_corot(n, h, r_max=60.0, tol=1e-5)
+                assert abs(res.h_inf - h) < 1e-5
+                assert len(calls) <= 8, (n, h, len(calls))
 
     def test_equator_exact_branch(self):
         res = solve_corot(3, np.pi / 2.0)

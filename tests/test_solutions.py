@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,10 +79,24 @@ class TestWrappers:
         np.testing.assert_allclose(sol.evaluate(pts)[:, 3], 1.0)
 
     def test_from_angle_origin_regular(self):
-        sol = from_angle(lambda r: 0.1 * np.asarray(r),
-                         lambda r: 0.1 * np.ones(np.shape(r)))
+        sol = from_angle(lambda r: (0.1 * np.asarray(r),
+                                    0.1 * np.ones(np.shape(r))))
         val = sol.evaluate(np.zeros((1, 3)))
         np.testing.assert_allclose(val[0, :3], 0.0, atol=1e-14)
+
+    def test_shooting_gradient_evaluates_profile_once(self):
+        res = solve_corot(3, 0.2)
+        calls = []
+
+        def counted(r):
+            calls.append(np.shape(r))
+            return res.dense(r)
+
+        sol = from_shooting(dataclasses.replace(res, dense=counted))
+        pts = np.random.default_rng(1).normal(size=(4, 5, 3))
+        g = sol.gradient(pts)
+        assert calls == [(4, 5)]
+        np.testing.assert_array_equal(g, from_shooting(res).gradient(pts))
 
     def test_gl_profile_wrapper_domain(self):
         profile, _ = solve_gl_corot(3, 10.0, np.sin(0.2), np.cos(0.2),
