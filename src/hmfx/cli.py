@@ -23,7 +23,8 @@ from . import asymptotics, diagnostics, fixedpoint, solutions, weighted
 from .boundary import builtin_boundary
 from .config import RunConfig
 from .corotational import solve_corot, solve_gl_corot
-from .errors import ConfigError, HmfxError, NotAttainedError, PartialResultError
+from .errors import (ConfigError, HmfxError, NonconvergenceError,
+                     NotAttainedError, PartialResultError)
 from .fields import save_field_csv, save_profile_csv
 from .grids import RadialGrid, SphereGrid
 
@@ -96,6 +97,12 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
         U0 = weighted.caloric_extension(path, radial, sphere, self_check=False)
     state = fixedpoint.picard_iterate(U0, K, sigma=sigma,
                                       tol=cfg.get_tolerance("tol.picard"))
+    if not state.converged:
+        last = (f"{state.contraction_ratios[-1]:.4g}"
+                if state.contraction_ratios else "n/a")
+        raise NonconvergenceError(
+            f"Picard iteration did not converge in {len(state.step_norms)} "
+            f"steps (last contraction ratio {last})", last_iterate=state)
     save_field_csv(state.V, out / "correction.csv")
     _write_csv(out / "iterations.csv", ["step", "step_norm", "contraction_ratio"],
                [(i, s, state.contraction_ratios[i - 1] if i >= 1 else "")
@@ -189,7 +196,18 @@ def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
         raise ConfigError("diagnostics need corotational or constant data")
     if abs(u0.h_inf - np.pi / 2.0) < 1e-12:
         return solutions.equator_solution()
-    result = solve_corot(3, u0.h_inf, r_max=cfg.get_float("grid.r_max"),
+    # shoot past the farthest profile radius |x| / sqrt(t) that diagnose
+    # reads: kernel slices reach |x0| + 2 (the cutoff radius) at
+    # t = 1 - 4 R^2, for the table radii and the scan radius 1/4, and the
+    # Pohozaev slab reaches the first probe + 2 at t = 1/2
+    r_max = cfg.get_float("grid.r_max")
+    probes = cfg.get_floats("diag.probe_radii")
+    R_max = max(cfg.get_floats("diag.mono_radii") + [0.25])
+    if probes and R_max < 0.5:
+        reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
+                    np.sqrt(2.0) * (probes[0] + 2.0))
+        r_max = max(r_max, float(reach))
+    result = solve_corot(3, u0.h_inf, r_max=r_max,
                          tol=cfg.get_tolerance("tol.shoot"))
     return solutions.from_shooting(result)
 

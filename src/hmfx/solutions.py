@@ -3,21 +3,19 @@
 A self-similar solution is determined by its profile U at time 1 through
 u(x, t) = U(x / sqrt(t)); the wrappers expose U, its spatial gradient and
 the induced time derivative at arbitrary points, so every diagnostic can
-quadrature against smooth callables instead of grid samples.  Equivariant
-profiles get exact closed-form gradients; full grid fields fall back on
-trilinear interpolation of the discrete gradient.
+quadrature against smooth callables instead of grid samples.  Every
+wrapped profile is equivariant, so its gradient is closed form and its
+energy density is a function e(r) of the radius alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.interpolate
 
 from .errors import DomainExceededError, HmfxError, TimeOrderError
-from .fields import MapField, gradient, interpolate
-from .target import TargetSphere
 
 
 @dataclass(frozen=True)
@@ -25,55 +23,65 @@ class SelfSimilarSolution:
     """Profile-at-time-1 view of a self-similar map R^3 x (0, inf) -> R^m.
 
     ``profile_fn(points) -> (..., m)`` and ``profile_gradient_fn(points) ->
-    (..., 3, m)`` evaluate U and its Cartesian gradient; ``flavor`` selects
-    the penalty entering the energy density ('hm' for exactly
-    sphere-valued maps, 'gl' or 'cs' for penalized ones with strength K).
+    (..., 3, m)`` evaluate U and its Cartesian gradient;
+    ``energy_density(r)`` is the radial energy density e(r) of U, penalty
+    included; ``flavor`` names that penalty ('hm' for exactly
+    sphere-valued maps, 'gl' for the quartic one with strength K).
     """
 
     name: str
     m: int
-    flavor: str  # 'hm' | 'gl' | 'cs'
+    flavor: str  # 'hm' | 'gl'
     profile_fn: object
     profile_gradient_fn: object
+    energy_density: object
     K: float | None = None
     domain_radius: float = np.inf
     boundary_gradient_sq: object = None  # |grad u_0|^2(x) of the boundary data
-    target: TargetSphere = field(default_factory=TargetSphere)
 
     def __post_init__(self):
-        if self.flavor not in ("hm", "gl", "cs"):
-            raise HmfxError("solution flavor must be 'hm', 'gl' or 'cs'")
+        if self.flavor not in ("hm", "gl"):
+            raise HmfxError("solution flavor must be 'hm' or 'gl'")
         if self.flavor != "hm" and (self.K is None or self.K <= 0):
             raise HmfxError("penalized solutions need a positive K")
 
-    def _check_domain(self, points: np.ndarray, t: float) -> np.ndarray:
+    def check_radii(self, r) -> None:
+        """Reject profile radii |x| / sqrt(t) past the profile domain."""
+        if np.any(np.asarray(r) > self.domain_radius * (1.0 + 1e-12)):
+            raise DomainExceededError(
+                "evaluation point leaves the profile domain after rescaling")
+
+    def rescale(self, points, t: float) -> np.ndarray:
+        """Profile points y = x / sqrt(t), checked against the domain."""
         if t <= 0.0:
             raise TimeOrderError("self-similar evaluation needs t > 0")
         y = np.asarray(points, dtype=float) / np.sqrt(t)
-        r = np.linalg.norm(y, axis=-1)
-        if np.any(r > self.domain_radius * (1.0 + 1e-12)):
-            raise DomainExceededError(
-                "evaluation point leaves the profile domain after rescaling")
+        self.check_radii(np.linalg.norm(y, axis=-1))
         return y
 
     def evaluate(self, points, t: float = 1.0) -> np.ndarray:
         """u(x, t) = U(x / sqrt(t))."""
-        return np.asarray(self.profile_fn(self._check_domain(points, t)), dtype=float)
+        return np.asarray(self.profile_fn(self.rescale(points, t)), dtype=float)
 
     def gradient(self, points, t: float = 1.0) -> np.ndarray:
         """Spatial gradient: (grad u)(x, t) = t^{-1/2} (grad U)(x / sqrt(t))."""
-        y = self._check_domain(points, t)
+        y = self.rescale(points, t)
         return np.asarray(self.profile_gradient_fn(y), dtype=float) / np.sqrt(t)
 
     def time_derivative(self, points, t: float = 1.0) -> np.ndarray:
         """d/dt of u(x, t) = -(1 / 2t) (y . grad U)(y), y = x / sqrt(t)."""
-        y = self._check_domain(points, t)
+        y = self.rescale(points, t)
         g = np.asarray(self.profile_gradient_fn(y), dtype=float)
         return -(y[..., :, None] * g).sum(axis=-2) / (2.0 * t)
 
 
 # ---------------------------------------------------------------------------
 # equivariant profiles (closed-form gradients)
+
+
+def _over_r(p, dp, r):
+    """P / r, taking its limit P'(0) at the origin."""
+    return np.where(r > 0, p / np.where(r > 0, r, 1.0), dp)
 
 
 def _equivariant_fns(radial, m: int):
@@ -97,9 +105,9 @@ def _equivariant_fns(radial, m: int):
         return out
 
     def grad_fn(points):
-        r, r_safe, omega = polar(points)
+        r, _, omega = polar(points)
         p, dp, _, dq = radial(r)
-        p_r = p / r_safe
+        p_r = _over_r(p, dp, r)
         out = np.zeros(omega.shape[:-1] + (3, m))
         # d_j (P omega_i) = (P' - P / r) w_j w_i + (P / r) delta_ij
         out[..., :, :3] = ((dp - p_r)[..., None, None]
@@ -118,13 +126,19 @@ def from_angle(angle, name: str = "equivariant",
 
     ``angle(r) -> (h, h')`` evaluates the profile and its slope at radii
     together (a shooting result's Hermite profile does); each evaluation
-    of U or its gradient calls it once.
+    of U, its gradient or its energy density calls it once.  The density
+    is e = (h'^2 + 2 sin^2 h / r^2) / 2.
     """
 
     def radial(r):
         h, dh = angle(r)
         s, c = np.sin(h), np.cos(h)
         return s, c * dh, c, -s * dh
+
+    def density(r):
+        h, dh = angle(r)
+        s_r = _over_r(np.sin(h), dh, np.asarray(r, dtype=float))
+        return 0.5 * (dh * dh + 2.0 * s_r * s_r)
 
     fn, grad_fn = _equivariant_fns(radial, 4)
     bgrad = None
@@ -135,7 +149,7 @@ def from_angle(angle, name: str = "equivariant",
             r2 = (np.asarray(points, dtype=float) ** 2).sum(axis=-1)
             return s2 / r2
 
-    return SelfSimilarSolution(name, 4, "hm", fn, grad_fn,
+    return SelfSimilarSolution(name, 4, "hm", fn, grad_fn, density,
                                boundary_gradient_sq=bgrad)
 
 
@@ -167,21 +181,38 @@ def constant_solution(m: int = 4) -> SelfSimilarSolution:
         pts = np.asarray(points, dtype=float)
         return np.zeros(pts.shape[:-1] + (3, m))
 
-    return SelfSimilarSolution("constant", m, "hm", fn, grad_fn,
+    def density(r):
+        return np.zeros(np.shape(r))
+
+    return SelfSimilarSolution("constant", m, "hm", fn, grad_fn, density,
                                boundary_gradient_sq=lambda p: np.zeros(
                                    np.asarray(p, dtype=float).shape[:-1]))
 
 
 def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSolution:
-    """Wrap a converged penalized (psi, phi) collocation profile, n = 3."""
+    """Wrap a converged penalized (psi, phi) collocation profile, n = 3.
+
+    The density is e = (P'^2 + 2 P^2 / r^2 + Q'^2) / 2 + (K/4)(1 - P^2 - Q^2)^2
+    with (P, Q) = (psi, phi).
+    """
     if profile.n != 3 or profile.is_angle_form:
         raise HmfxError("needs an n = 3 profile in (psi, phi) form")
     grid = profile.grid
     sp_p = scipy.interpolate.CubicSpline(grid.nodes, profile.psi)
     sp_q = scipy.interpolate.CubicSpline(grid.nodes, profile.phi)
     dsp_p, dsp_q = sp_p.derivative(), sp_q.derivative()
-    fn, grad_fn = _equivariant_fns(
-        lambda r: (sp_p(r), dsp_p(r), sp_q(r), dsp_q(r)), 4)
+
+    def radial(r):
+        return sp_p(r), dsp_p(r), sp_q(r), dsp_q(r)
+
+    def density(r):
+        r = np.asarray(r, dtype=float)
+        p, dp, q, dq = radial(r)
+        p_r = _over_r(p, dp, r)
+        return (0.5 * (dp * dp + 2.0 * p_r * p_r + dq * dq)
+                + 0.25 * K * (1.0 - p * p - q * q) ** 2)
+
+    fn, grad_fn = _equivariant_fns(radial, 4)
     h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
     s2 = 2.0 * np.sin(h_inf) ** 2
 
@@ -190,29 +221,5 @@ def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSo
         return s2 / r2
 
     return SelfSimilarSolution(name or f"gl(K={K:g})", 4, "gl", fn, grad_fn,
-                               K=K, domain_radius=grid.r_max,
+                               density, K=K, domain_radius=grid.r_max,
                                boundary_gradient_sq=bgrad)
-
-
-# ---------------------------------------------------------------------------
-# grid-backed profiles
-
-
-def from_mapfield(fld: MapField, flavor: str = "hm", K: float | None = None,
-                  name: str = "grid-field",
-                  boundary_gradient_sq=None) -> SelfSimilarSolution:
-    """Wrap a discrete map field; gradient by interpolating the grid gradient."""
-    g = gradient(fld)
-    grad_field = MapField(fld.radial, fld.sphere,
-                          g.reshape(g.shape[:3] + (3 * fld.m,)))
-
-    def fn(points):
-        return interpolate(fld, points)
-
-    def grad_fn(points):
-        flat = interpolate(grad_field, points)
-        return flat.reshape(flat.shape[:-1] + (3, fld.m))
-
-    return SelfSimilarSolution(name, fld.m, flavor, fn, grad_fn, K=K,
-                               domain_radius=fld.radial.r_max,
-                               boundary_gradient_sq=boundary_gradient_sq)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hmfx import cli
+from hmfx import cli, fixedpoint
 from hmfx.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main)
 from hmfx.config import RunConfig
 
@@ -58,6 +59,19 @@ class TestFixedPointData:
         bound = RunConfig({}).get_tolerance("tol.static_residual_per_K") * summary["K"]
         assert summary["static_residual"] <= bound
 
+    def test_unconverged_picard_is_solver_error(self, tmp_path, monkeypatch):
+        # sigma = 0.5 needs six Picard steps; a cap of two leaves it unconverged
+        picard = fixedpoint.picard_iterate
+        monkeypatch.setattr(fixedpoint, "picard_iterate",
+                            lambda *a, **k: picard(*a, **{**k, "max_iters": 2}))
+        code, _, summary = run(tmp_path, "fixed-point",
+                               "--set", "run.boundary=lipschitz-wedge",
+                               "--set", "run.sigma=0.5")
+        assert code == EXIT_SOLVER
+        assert summary["status"] == "solver-error"
+        assert "did not converge in 2 steps" in summary["error"]
+        assert "last contraction ratio 0." in summary["error"]
+
     def test_data_not_homotopic_to_a_constant_is_config_error(self, tmp_path):
         code, _, summary = run(tmp_path, "fixed-point",
                                "--set", "run.boundary=identity-sphere",
@@ -110,6 +124,27 @@ class TestDiagnose:
         assert tols == [pytest.approx(1e-6)]
         cli._resolve_solution(RunConfig(cfg.values, "strict"))
         assert tols[1] == pytest.approx(0.5e-6)
+
+    def test_profile_read_within_its_last_node(self, tmp_path, monkeypatch):
+        solve = cli.solve_corot
+        last_nodes, reads = [], []
+
+        def recorded(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            last_nodes.append(res.dense.r[-1])
+
+            def dense(r):
+                reads.append(float(np.max(r, initial=0.0)))
+                return res.dense(r)
+
+            return dataclasses.replace(res, dense=dense)
+
+        monkeypatch.setattr(cli, "solve_corot", recorded)
+        code, _, _ = run(tmp_path, "diagnose",
+                         "--set", "run.boundary=corotational(0.2)")
+        assert code == EXIT_OK
+        assert len(last_nodes) == 1 and reads
+        assert max(reads) <= last_nodes[0]
 
 
 class TestDeterminism:

@@ -1,18 +1,57 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from hmfx.corotational import solve_corot, solve_gl_corot
 from hmfx.diagnostics import (annulus_energies, bochner_check,
                               boundary_local_energy,
                               energy_inequality_report, eps_regularity_scan,
                               gaussian_integral, local_energy,
                               monotonicity_table, pointwise_energy,
                               pohozaev_residual, shi_bound_check)
-from hmfx.solutions import constant_solution, equator_solution
+from hmfx.grids import SphereGrid
+from hmfx.solutions import (constant_solution, equator_solution,
+                            from_gl_profile, from_shooting)
+from hmfx.target import radial_bump
+
+MONO_RADII = np.linspace(0.05, 0.45, 9)
 
 
 @pytest.fixture(scope="module")
 def equator():
     return equator_solution()
+
+
+@pytest.fixture(scope="module")
+def corot():
+    # r_max covers the probe-20 tables, which read the profile to |y| ~ 50
+    return from_shooting(solve_corot(3, 0.2, r_max=50.5))
+
+
+@pytest.fixture(scope="module")
+def gl():
+    profile, _ = solve_gl_corot(3, 10.0, np.sin(0.2), np.cos(0.2),
+                                r_max=20.0)
+    return from_gl_profile(profile, 10.0)
+
+
+def _reference_columns(sol, x0, sphere, psi_rows, n_time=8):
+    """Phi at every table radius and Psi at ``psi_rows`` from the 3-D rule."""
+    def density(t):
+        return lambda p: pointwise_energy(sol, p, t) \
+            * radial_bump(np.linalg.norm(p - x0, axis=-1)) ** 2
+
+    x_gl, w_gl = leggauss(n_time)
+    phi = [R * R * gaussian_integral(density(1.0 - R * R), x0, R * R,
+                                     sphere=sphere) for R in MONO_RADII]
+    psi = []
+    for R in MONO_RADII[psi_rows]:
+        ts = 1.0 - R * R * (2.5 - 1.5 * x_gl)
+        psi.append(sum(1.5 * R * R * w * gaussian_integral(
+            density(t), x0, 1.0 - t, sphere=sphere) for t, w in zip(ts, w_gl)))
+    return np.concatenate([phi, psi])
 
 
 class TestEnergyDensity:
@@ -29,6 +68,21 @@ class TestEnergyDensity:
         a = pointwise_energy(equator, pts, t=t)
         b = pointwise_energy(equator, pts / np.sqrt(t), t=1.0) / t
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    @pytest.mark.parametrize("name", ["equator", "corot", "gl"])
+    def test_radial_density_matches_gradient(self, name, t, request):
+        # half the squared gradient plus the quartic penalty, origin included
+        sol = request.getfixturevalue(name)
+        pts = np.random.default_rng(3).uniform(-5.0, 5.0, size=(64, 3))
+        pts[0] = 0.0
+        g = sol.gradient(pts, t)
+        ref = 0.5 * (g * g).sum(axis=(-2, -1))
+        if sol.flavor == "gl":
+            u = sol.evaluate(pts, t)
+            ref += sol.K / (4.0 * t) * (1.0 - (u * u).sum(axis=-1)) ** 2
+        np.testing.assert_allclose(pointwise_energy(sol, pts, t), ref,
+                                   rtol=1e-12, atol=0.0)
 
     def test_constant_solution_zero_energy(self):
         sol = constant_solution()
@@ -70,6 +124,34 @@ class TestMonotonicity:
         assert not table.phi_flagged
         assert not table.psi_flagged
         assert np.all(np.diff(table.phi_values) >= 0.0)
+
+    @pytest.mark.parametrize("rho", [5.0, 20.0])
+    @pytest.mark.parametrize("name", ["equator", "corot"])
+    def test_axisymmetric_rule_matches_fine_sphere(self, name, rho, request):
+        # the 3-D lat-long rule converges to the axisymmetric value: the
+        # 48x96 sphere lies within 2e-5, the 16x32 one at least 5x farther
+        sol = request.getfixturevalue(name)
+        x0 = np.array([rho, 0.0, 0.0])
+        table = monotonicity_table(sol, (x0, 1.0), MONO_RADII)
+        rows = [0, -1]
+        axi = np.concatenate([table.phi_values, table.psi_values[rows]])
+        fine = _reference_columns(sol, x0, SphereGrid(48, 96), rows)
+        coarse = _reference_columns(sol, x0, SphereGrid(16, 32), rows)
+        gap_fine = np.max(np.abs(axi - fine) / np.abs(fine))
+        gap_coarse = np.max(np.abs(axi - coarse) / np.abs(coarse))
+        assert gap_fine <= 2e-5
+        assert gap_coarse >= 5.0 * gap_fine
+
+    def test_one_density_call_per_table(self, corot):
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return corot.energy_density(r)
+
+        sol = dataclasses.replace(corot, energy_density=counted)
+        monotonicity_table(sol, (np.array([10.0, 0.0, 0.0]), 1.0), MONO_RADII)
+        assert 1 <= len(calls) <= 2
 
     def test_radius_window_enforced(self, equator):
         from hmfx.errors import TimeWindowError
