@@ -63,7 +63,9 @@ def cmd_solve_corot(cfg: RunConfig, out: pathlib.Path) -> dict:
     return {
         "n": n, "h_inf_requested": h_inf, "h_inf_attained": result.h_inf,
         "center_slope": result.slope, "farfield_coefficient": result.farfield_coeff,
-        "residual_sup": result.residual_sup, "artifacts": ["profile.csv"],
+        "residual_sup": result.residual_sup, "shots": result.shots,
+        "integrator_steps": result.steps,
+        "rhs_evaluations": result.rhs_evaluations, "artifacts": ["profile.csv"],
     }
 
 
@@ -187,6 +189,21 @@ def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
     }
 
 
+def _diag_radii(cfg: RunConfig) -> tuple[list[float], list[float]]:
+    """The probe and table radii of ``diagnose``, checked before any solve."""
+    probes = cfg.get_floats("diag.probe_radii")
+    if not probes or min(probes) <= 0.0:
+        raise ConfigError(
+            f"diag.probe_radii must be a non-empty list of positive radii, got {probes}")
+    mono = cfg.get_floats("diag.mono_radii")
+    if (not mono or mono[0] <= 0.0 or mono[-1] >= 0.5
+            or any(b <= a for a, b in zip(mono, mono[1:]))):
+        raise ConfigError(
+            "diag.mono_radii must be a non-empty, strictly increasing list "
+            f"inside (0, 0.5), got {mono}")
+    return probes, mono
+
+
 def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
     spec = cfg.get_str("run.boundary")
     u0 = builtin_boundary(spec, cfg.get_int("run.n"))
@@ -200,22 +217,19 @@ def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
     # reads: kernel slices reach |x0| + 2 (the cutoff radius) at
     # t = 1 - 4 R^2, for the table radii and the scan radius 1/4, and the
     # Pohozaev slab reaches the first probe + 2 at t = 1/2
-    r_max = cfg.get_float("grid.r_max")
-    probes = cfg.get_floats("diag.probe_radii")
-    R_max = max(cfg.get_floats("diag.mono_radii") + [0.25])
-    if probes and R_max < 0.5:
-        reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
-                    np.sqrt(2.0) * (probes[0] + 2.0))
-        r_max = max(r_max, float(reach))
+    probes, mono = _diag_radii(cfg)
+    R_max = max(mono[-1], 0.25)
+    reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
+                np.sqrt(2.0) * (probes[0] + 2.0))
+    r_max = max(cfg.get_float("grid.r_max"), float(reach))
     result = solve_corot(3, u0.h_inf, r_max=r_max,
                          tol=cfg.get_tolerance("tol.shoot"))
     return solutions.from_shooting(result)
 
 
 def cmd_diagnose(cfg: RunConfig, out: pathlib.Path) -> dict:
+    probe_radii, mono_radii = _diag_radii(cfg)
     sol = _resolve_solution(cfg)
-    probe_radii = cfg.get_floats("diag.probe_radii")
-    mono_radii = np.asarray(cfg.get_floats("diag.mono_radii"))
     slack = cfg.get_tolerance("tol.slack")
     eps0 = cfg.get_tolerance("tol.eps0")
     bound_c = cfg.get_float("tol.C")

@@ -14,20 +14,26 @@ threaded; parameter sweeps may run them as independent jobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+import math
+import warnings
 
 import numpy as np
 import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import (GridError, NonconvergenceError, NotAttainedError,
-                     PartialResultError, ShootingDivergedError)
+from .errors import (GridError, IntegrationError, NonconvergenceError,
+                     NotAttainedError, PartialResultError,
+                     ShootingDivergedError)
 from .fields import CorotationalProfile
 from .grids import RadialGrid
 
 _SERIES_R0 = 1e-3
 _BLOWUP = 50.0
+# output spacing of each shot: the Hermite profile's nodes
+_NODE_SPACING = 0.025
+_ODEINT_SUCCESS = "Integration successful."
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +41,16 @@ _BLOWUP = 50.0
 
 
 def _hm_rhs(n: int):
+    """First-order right-hand side for odeint's callback.
+
+    It works on Python floats (``math.sin``), which costs a fraction of
+    the NumPy scalar arithmetic on LSODA's tens of thousands of calls.
+    """
     def rhs(r, y):
-        h, dh = y
+        h, dh = y.tolist()
         return (dh,
                 -((n - 1) / r + 0.5 * r) * dh
-                + (n - 1) / (2.0 * r * r) * np.sin(2.0 * h))
+                + (n - 1) / (2.0 * r * r) * math.sin(2.0 * h))
     return rhs
 
 
@@ -79,11 +90,11 @@ def hm_residual(profile: CorotationalProfile, n: int | None = None) -> np.ndarra
 class HermiteProfile:
     """Piecewise-quintic Hermite angle profile r -> (h(r), h'(r)).
 
-    Built on the integrator's accepted steps from the node values (h, h',
-    h''), so it is C^2 and has the integrator's local order.  Calling it
-    locates each radius with one ``searchsorted`` and evaluates h and h'
-    together by Horner's rule; radii past the last node use the last
-    piece.
+    Built on fixed nodes from the node values (h, h', h''), so it is C^2;
+    the shooting profile's nodes are the integrator's output radii, not
+    its accepted steps.  Calling it locates each radius with one
+    ``searchsorted`` and evaluates h and h' together by Horner's rule;
+    radii past the last node use the last piece.
     """
 
     def __init__(self, r, h, dh, d2h):
@@ -124,7 +135,12 @@ class HermiteProfile:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Outcome of one shooting integration of the angle equation."""
+    """Outcome of one shooting integration of the angle equation.
+
+    ``shots``, ``steps`` and ``rhs_evaluations`` are the cost of producing
+    it: one shot's LSODA steps and right-hand-side calls from ``shoot_hm``,
+    the totals over the whole slope search from ``solve_corot``.
+    """
 
     profile: CorotationalProfile
     slope: float
@@ -133,6 +149,9 @@ class ShootingResult:
     farfield_coeff: float
     residual_sup: float
     dense: HermiteProfile
+    shots: int = 0
+    steps: int = 0
+    rhs_evaluations: int = 0
 
     def angle_at(self, r) -> np.ndarray:
         return self.dense(r)[0]
@@ -163,12 +182,15 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
              fit_window: tuple[float, float] | None = None) -> ShootingResult:
     """Integrate the regular angle solution with initial slope ``slope``.
 
-    LSODA (the drift term (r/2) h' makes the equation stiff at large r)
-    runs from the series seed at r = 1e-3; the profile is the quintic
-    Hermite interpolant on its accepted steps, with h'' from the equation
-    and a node (0, slope, 0) at the origin.  The limit angle is the
-    constant of a {1, r^-2} least-squares fit on the tail window, which
-    removes the leading truncation error of simply reading off h(r_max).
+    One ``odeint`` (LSODA) call (the drift term (r/2) h' makes the
+    equation stiff at large r) runs from the series seed at r = 1e-3 to
+    r_max + 0.1 and reports h and h' at fixed radii: r = 1e-3, then a
+    uniform spacing of at most 0.025.  The profile is the quintic Hermite
+    interpolant on those radii (not on LSODA's accepted steps), with h''
+    from the equation and a node (0, slope, 0) at the origin.  A node with
+    |h'| >= 50 is a blow-up.  The limit angle is the constant of a
+    {1, r^-2} least-squares fit on the tail window, which removes the
+    leading truncation error of simply reading off h(r_max).
     """
     if r_max < 20.0:
         raise GridError("truncation radius must be at least 20")
@@ -178,19 +200,26 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     if slope == 0.0:
         return _constant_branch(n, 0.0, grid)
 
-    h0, dh0 = _series_seed(slope, n, _SERIES_R0)
-    blow = lambda r, y: abs(y[1]) - _BLOWUP
-    blow.terminal = True
-    rhs = _hm_rhs(n)
-    sol = scipy.integrate.solve_ivp(
-        rhs, (_SERIES_R0, r_max + 0.1), [h0, dh0], method="LSODA",
-        rtol=1e-12, atol=1e-13, events=blow)
-    if sol.status == 1 or not sol.success:
+    r_end = r_max + 0.1
+    r = np.concatenate([[_SERIES_R0], np.linspace(
+        0.0, r_end, math.ceil(r_end / _NODE_SPACING) + 1)[1:]])
+    with warnings.catch_warnings():
+        # a failed call is reported through info["message"] below
+        warnings.simplefilter("ignore", scipy.integrate.ODEintWarning)
+        y, info = scipy.integrate.odeint(
+            _hm_rhs(n), _series_seed(slope, n, _SERIES_R0), r, tfirst=True,
+            full_output=True, rtol=1e-12, atol=1e-13)
+    if info["message"] != _ODEINT_SUCCESS:
+        raise IntegrationError(
+            f"LSODA failed on the angle equation for slope {slope:g} "
+            f"before r = {r_end:g}: {info['message']}")
+    h, dh = y[:, 0], y[:, 1]
+    d2h = -((n - 1) / r + 0.5 * r) * dh + (n - 1) / (2.0 * r * r) * np.sin(2.0 * h)
+    blown = np.flatnonzero(np.abs(dh) >= _BLOWUP)
+    if blown.size:
         raise ShootingDivergedError(
-            f"angle integration blew up at r = {sol.t[-1]:.3f} for slope {slope:g}")
-    h, dh = sol.y
-    d2h = rhs(sol.t, sol.y)[1]
-    dense = HermiteProfile(np.concatenate([[0.0], sol.t]),
+            f"angle integration blew up at r = {r[blown[0]]:.3f} for slope {slope:g}")
+    dense = HermiteProfile(np.concatenate([[0.0], r]),
                            np.concatenate([[0.0], h]),
                            np.concatenate([[slope], dh]),
                            np.concatenate([[0.0], d2h]))
@@ -206,7 +235,9 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     r_check = grid.nodes[(grid.nodes > 0.1) & (grid.nodes < r_max - 0.1)]
     residual = float(_dense_defect(dense, n, r_check).max())
     return ShootingResult(profile, slope, float(dense(r_max)[0]), h_inf,
-                          farfield, residual, dense)
+                          farfield, residual, dense, shots=1,
+                          steps=int(info["nst"][-1]),
+                          rhs_evaluations=int(info["nfe"][-1]))
 
 
 def _attained_range(n: int, r_max: float, grid: RadialGrid) -> tuple[float, float]:
@@ -228,15 +259,18 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
     otherwise the initial slope is bracketed by doubling and then found by
     Illinois regula falsi until the attained limit angle matches to
     ``tol``.  A negative limit angle is the reflection h -> -h of the
-    positive solve.
+    positive solve.  The result carries the shot, step and right-hand-side
+    counts of the whole search.
     """
     grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
     if abs(np.sin(2.0 * h_inf)) < 1e-14:
         return _constant_branch(n, h_inf, grid)
     target = abs(h_inf)
+    shots: list[ShootingResult] = []
 
     def attained(a: float) -> ShootingResult:
-        return shoot_hm(n, a, r_max, grid)
+        shots.append(shoot_hm(n, a, r_max, grid))
+        return shots[-1]
 
     # the slope-0 shot is the constant branch h = 0, so f(0) = -target
     lo, f_lo = 0.0, -target
@@ -277,11 +311,15 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
             if side == -1:
                 f_hi *= 0.5
             side = -1
+    result = replace(
+        result, shots=len(shots), steps=sum(s.steps for s in shots),
+        rhs_evaluations=sum(s.rhs_evaluations for s in shots))
     if h_inf < 0:
         prof = CorotationalProfile(result.profile.grid, n, angle=-result.profile.angle)
-        result = ShootingResult(prof, -result.slope, -result.h_end, -result.h_inf,
-                                -result.farfield_coeff, result.residual_sup,
-                                result.dense.negated())
+        result = replace(
+            result, profile=prof, slope=-result.slope, h_end=-result.h_end,
+            h_inf=-result.h_inf, farfield_coeff=-result.farfield_coeff,
+            dense=result.dense.negated())
     return result
 
 

@@ -33,6 +33,10 @@ class ShootingDivergedError(HmfxError):
     """The shooting integration blew up before reaching the truncation radius."""
 
 
+class IntegrationError(HmfxError):
+    """The ODE integrator reported failure before reaching its end point."""
+
+
 class NotAttainedError(HmfxError):
     """No shooting slope reaches the requested boundary angle.
 

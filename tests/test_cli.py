@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from hmfx import cli, fixedpoint
+from hmfx import cli, corotational, fixedpoint
 from hmfx.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main)
 from hmfx.config import RunConfig
 
@@ -44,6 +45,15 @@ class TestExitCodes:
         assert summary["status"] == "solver-error"
         lo, hi = summary["reachable_range"]
         assert lo < hi < 3.0
+
+    def test_integration_failure_is_solver_error(self, tmp_path, monkeypatch):
+        odeint = scipy.integrate.odeint
+        monkeypatch.setattr(scipy.integrate, "odeint",
+                            lambda *args, **kwargs: odeint(*args, **kwargs, mxstep=2))
+        code, _, summary = run(tmp_path, "solve-corot", "--set",
+                               "run.h_inf=0.1")
+        assert code == EXIT_SOLVER
+        assert "LSODA failed" in summary["error"]
 
 
 class TestFixedPointData:
@@ -95,6 +105,23 @@ class TestSummaries:
         assert text == json.dumps(json.loads(text), indent=2,
                                   sort_keys=True) + "\n"
 
+    def test_solve_corot_reports_search_cost(self, tmp_path, monkeypatch):
+        shoot = corotational.shoot_hm
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(shoot(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(corotational, "shoot_hm", counted)
+        code, _, summary = run(tmp_path, "solve-corot", "--set",
+                               "run.h_inf=0.2")
+        assert code == EXIT_OK
+        assert summary["shots"] == len(calls) > 1
+        assert summary["integrator_steps"] == sum(c.steps for c in calls) > 0
+        assert summary["rhs_evaluations"] == sum(
+            c.rhs_evaluations for c in calls) > 0
+
     def test_asymptotics_equator_verdict(self, tmp_path):
         code, _, summary = run(tmp_path, "asymptotics", "--set",
                                "run.boundary=equator")
@@ -145,6 +172,28 @@ class TestDiagnose:
         assert code == EXIT_OK
         assert len(last_nodes) == 1 and reads
         assert max(reads) <= last_nodes[0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("diag.probe_radii", ""),
+        ("diag.probe_radii", "0,5"),
+        ("diag.probe_radii", "-5"),
+        ("diag.mono_radii", ""),
+        ("diag.mono_radii", "0.1,0.5"),
+        ("diag.mono_radii", "0.2,0.1"),
+        ("diag.mono_radii", "0.1,0.1"),
+        ("diag.mono_radii", "0,0.1"),
+    ])
+    def test_bad_radii_are_config_errors(self, tmp_path, monkeypatch, key, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagnose solved before checking its radii")
+
+        monkeypatch.setattr(cli, "solve_corot", no_solve)
+        code, _, summary = run(tmp_path, "diagnose",
+                               "--set", "run.boundary=corotational(0.2)",
+                               "--set", f"{key}={value}")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert key in summary["error"]
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,7 +8,8 @@ from hmfx import corotational
 from hmfx.corotational import (continuation, gl_farfield_correction,
                                gl_residual, hm_residual, shoot_hm,
                                solve_corot, solve_gl_corot)
-from hmfx.errors import NotAttainedError
+from hmfx.errors import (IntegrationError, NotAttainedError,
+                         ShootingDivergedError)
 from hmfx.fields import CorotationalProfile
 from hmfx.grids import RadialGrid
 
@@ -32,11 +35,21 @@ class TestShooting:
         h_b = shoot_hm(3, 0.10).h_inf
         assert h_b > h_a
 
-    @pytest.mark.parametrize("a", [0.05, 0.8])
-    def test_hermite_profile_matches_reference_integration(self, a):
+    @pytest.mark.parametrize("n, a, h_inf", [
+        pytest.param(3, 0.05, None, id="0.05"),
+        pytest.param(3, 0.8, None, id="0.8"),
+        pytest.param(6, None, 1.2, id="n6-h1.2"),
+    ])
+    def test_hermite_profile_matches_reference_integration(self, n, a, h_inf):
         # independent reference: DOP853 dense output from the center series
-        # at r0 = 1e-6, extrapolated over [0, r0)
-        n, r0 = 3, 1e-6
+        # at r0 = 1e-6, extrapolated over [0, r0); a large-angle case takes
+        # the profile of the slope search
+        if h_inf is None:
+            res = shoot_hm(n, a, r_max=60.0)
+        else:
+            res = solve_corot(n, h_inf, r_max=60.0)
+            a = res.slope
+        r0 = 1e-6
         c3 = -(a / 2.0 + (2.0 / 3.0) * (n - 1) * a**3) / (2.0 * n + 4.0)
 
         def rhs(r, y):
@@ -47,10 +60,31 @@ class TestShooting:
             rhs, (r0, 60.0), [a * r0 + c3 * r0**3, a + 3.0 * c3 * r0**2],
             method="DOP853", dense_output=True, rtol=1e-12, atol=1e-13).sol
         r = np.linspace(0.0, 60.0, 6001)
-        h, dh = shoot_hm(n, a, r_max=60.0).dense(r)
+        h, dh = res.dense(r)
         h_ref, dh_ref = ref(r)
         assert np.abs(h - h_ref).max() <= 1e-8
         assert np.abs(dh - dh_ref).max() <= 1e-8
+
+    def test_large_slope_blows_up(self):
+        with pytest.raises(ShootingDivergedError, match="blew up at r = 0.001"):
+            shoot_hm(3, 60.0)
+
+    def test_failed_integration_is_solver_error(self, monkeypatch):
+        # a step budget of two per output interval makes LSODA give up
+        odeint = scipy.integrate.odeint
+        monkeypatch.setattr(scipy.integrate, "odeint",
+                            lambda *args, **kwargs: odeint(*args, **kwargs, mxstep=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="Excess work done"):
+                shoot_hm(3, 0.3)
+
+    def test_shot_reports_integrator_counts(self):
+        res = shoot_hm(3, 0.3)
+        assert res.shots == 1
+        assert res.rhs_evaluations > res.steps > 0
+        assert res.dense.r[-1] == 40.0 + 0.1
+        assert np.diff(res.dense.r[2:]).max() <= 0.025 + 1e-12
 
 
 class TestBoundaryValueSolve:
@@ -58,6 +92,10 @@ class TestBoundaryValueSolve:
         res = solve_corot(3, 0.2, tol=1e-10)
         assert res.h_inf == pytest.approx(0.2, abs=1e-8)
         assert res.residual_sup < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_large_angle_residual(self, n):
+        assert solve_corot(n, 1.2).residual_sup <= 5e-9
 
     def test_farfield_coefficient_oracle(self):
         # independent oracle: far-field balance of the angle ODE gives
