@@ -190,21 +190,27 @@ def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 
 def _diag_radii(cfg: RunConfig) -> tuple[list[float], list[float]]:
-    """The probe and table radii of ``diagnose``, checked before any solve."""
+    """The probe and table radii of ``diagnose``, checked before any solve.
+
+    The tables are centred at t0 = 1, so ``monotonicity_table``'s bound
+    ``MAX_RADIUS * sqrt(t0)`` on the table radii is ``MAX_RADIUS`` here.
+    """
     probes = cfg.get_floats("diag.probe_radii")
     if not probes or min(probes) <= 0.0:
         raise ConfigError(
             f"diag.probe_radii must be a non-empty list of positive radii, got {probes}")
     mono = cfg.get_floats("diag.mono_radii")
-    if (not mono or mono[0] <= 0.0 or mono[-1] >= 0.5
+    bound = diagnostics.MAX_RADIUS
+    if (not mono or mono[0] <= 0.0 or mono[-1] >= bound
             or any(b <= a for a, b in zip(mono, mono[1:]))):
         raise ConfigError(
             "diag.mono_radii must be a non-empty, strictly increasing list "
-            f"inside (0, 0.5), got {mono}")
+            f"inside (0, {bound:g}), got {mono}")
     return probes, mono
 
 
-def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
+def _resolve_solution(cfg: RunConfig, probes: list[float],
+                      mono: list[float]) -> solutions.SelfSimilarSolution:
     spec = cfg.get_str("run.boundary")
     u0 = builtin_boundary(spec, cfg.get_int("run.n"))
     if spec == "constant":
@@ -217,7 +223,6 @@ def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
     # reads: kernel slices reach |x0| + 2 (the cutoff radius) at
     # t = 1 - 4 R^2, for the table radii and the scan radius 1/4, and the
     # Pohozaev slab reaches the first probe + 2 at t = 1/2
-    probes, mono = _diag_radii(cfg)
     R_max = max(mono[-1], 0.25)
     reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
                 np.sqrt(2.0) * (probes[0] + 2.0))
@@ -229,7 +234,7 @@ def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
 
 def cmd_diagnose(cfg: RunConfig, out: pathlib.Path) -> dict:
     probe_radii, mono_radii = _diag_radii(cfg)
-    sol = _resolve_solution(cfg)
+    sol = _resolve_solution(cfg, probe_radii, mono_radii)
     slack = cfg.get_tolerance("tol.slack")
     eps0 = cfg.get_tolerance("tol.eps0")
     bound_c = cfg.get_float("tol.C")

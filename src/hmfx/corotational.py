@@ -54,6 +54,11 @@ def _hm_rhs(n: int):
     return rhs
 
 
+def _hm_d2h(n: int, r, h, dh):
+    """h'' from the angle equation, on arrays (``_hm_rhs`` is the scalar copy)."""
+    return -((n - 1) / r + 0.5 * r) * dh + (n - 1) / (2.0 * r * r) * np.sin(2.0 * h)
+
+
 def _series_seed(a: float, n: int, r0: float) -> tuple[float, float]:
     """Regular-center expansion h = a r + c3 r^3 forced by the equation."""
     c3 = -(0.5 * a + (2.0 / 3.0) * (n - 1) * a**3) / (2.0 * n + 4.0)
@@ -78,8 +83,7 @@ def hm_residual(profile: CorotationalProfile, n: int | None = None) -> np.ndarra
     d1 = grid.apply_d1(h)
     d2 = grid.apply_d2(h)
     res = np.empty_like(h)
-    res[1:] = (d2[1:] + ((n - 1) / r[1:] + 0.5 * r[1:]) * d1[1:]
-               - (n - 1) / (2.0 * r[1:] ** 2) * np.sin(2.0 * h[1:]))
+    res[1:] = d2[1:] - _hm_d2h(n, r[1:], h[1:], d1[1:])
     if abs(h[0]) < 1e-14 or abs(np.sin(2.0 * h[0])) < 1e-14:
         res[0] = 0.0
     else:
@@ -172,9 +176,7 @@ def _dense_defect(dense, n: int, r: np.ndarray, delta: float = 1e-2) -> np.ndarr
     offs = np.array([-2.0, -1.0, 1.0, 2.0]) * delta
     w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
     d2h = sum(wi * dense(r + oi)[1] for wi, oi in zip(w, offs))
-    h, dh = dense(r)
-    return np.abs(d2h + ((n - 1) / r + 0.5 * r) * dh
-                  - (n - 1) / (2.0 * r * r) * np.sin(2.0 * h))
+    return np.abs(d2h - _hm_d2h(n, r, *dense(r)))
 
 
 def shoot_hm(n: int, slope: float, r_max: float = 40.0,
@@ -214,7 +216,6 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
             f"LSODA failed on the angle equation for slope {slope:g} "
             f"before r = {r_end:g}: {info['message']}")
     h, dh = y[:, 0], y[:, 1]
-    d2h = -((n - 1) / r + 0.5 * r) * dh + (n - 1) / (2.0 * r * r) * np.sin(2.0 * h)
     blown = np.flatnonzero(np.abs(dh) >= _BLOWUP)
     if blown.size:
         raise ShootingDivergedError(
@@ -222,7 +223,7 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     dense = HermiteProfile(np.concatenate([[0.0], r]),
                            np.concatenate([[0.0], h]),
                            np.concatenate([[slope], dh]),
-                           np.concatenate([[0.0], d2h]))
+                           np.concatenate([[0.0], _hm_d2h(n, r, h, dh)]))
 
     window = fit_window if fit_window is not None else (0.5 * r_max, r_max)
     r_fit = np.linspace(window[0], window[1], 40)

@@ -32,6 +32,8 @@ DEFAULT_SLACK = 0.05
 DEFAULT_EPS0 = 0.02
 DEFAULT_DELTA = 0.25
 DEFAULT_C = 10.0
+# the table radii stay below MAX_RADIUS * sqrt(t0): Psi reaches back to t0 - 4R^2
+MAX_RADIUS = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,8 @@ def monotonicity_table(sol: SelfSimilarSolution, z0, radii,
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0.0):
         raise HmfxError("radii ladder must be strictly increasing")
-    if radii[-1] >= 0.5 * np.sqrt(t0):
-        raise TimeWindowError("largest radius must stay below sqrt(t0)/2")
+    if radii[-1] >= MAX_RADIUS * np.sqrt(t0):
+        raise TimeWindowError(f"largest radius must stay below {MAX_RADIUS:g} sqrt(t0)")
 
     # slices: Phi at t0 - R^2, then Psi's time nodes on [t0 - 4R^2, t0 - R^2]
     x_gl, w_gl = leggauss(n_time)

@@ -147,9 +147,10 @@ class TestDiagnose:
         monkeypatch.setattr(cli, "solve_corot", recorded)
         cfg = RunConfig({"run.boundary": "corotational(0.2)",
                          "tol.shoot": "1e-6"})
-        cli._resolve_solution(cfg)
+        radii = cli._diag_radii(cfg)
+        cli._resolve_solution(cfg, *radii)
         assert tols == [pytest.approx(1e-6)]
-        cli._resolve_solution(RunConfig(cfg.values, "strict"))
+        cli._resolve_solution(RunConfig(cfg.values, "strict"), *radii)
         assert tols[1] == pytest.approx(0.5e-6)
 
     def test_profile_read_within_its_last_node(self, tmp_path, monkeypatch):
