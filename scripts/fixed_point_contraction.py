@@ -9,10 +9,13 @@ and the weighted decay of the correction.
 
 import argparse
 
-import numpy as np
-
 from hmfx.boundary import corotational_map
 from hmfx import fixedpoint
+
+
+def _slope(value):
+    """A fitted decay slope, or n/a where the tail is too small to fit."""
+    return "n/a" if value is None else f"{value:+.2f}"
 
 
 def main():
@@ -34,8 +37,8 @@ def main():
         print(f"sigma={sigma:4.2f}  steps={len(state.step_norms)}  "
               f"q=[{ratios}]  |V|_x={state.x_norm_V:.3e}  "
               f"static residual={state.static_residual:.3e}")
-        print(f"            decay slopes: value {decay.value_slope:+.2f}, "
-              f"gradient {decay.gradient_slope:+.2f}; "
+        print(f"            decay slopes: value {_slope(decay.value_slope)}, "
+              f"gradient {_slope(decay.gradient_slope)}; "
               f"sup f|V|={decay.sup_fV:.3e}")
 
 

@@ -17,9 +17,8 @@ import numpy as np
 
 from .boundary import BoundaryMap
 from .errors import GridError, HmfxError, WindowError
-from .fields import CorotationalProfile, _pole_extended, _spectral_derivative, \
-    sphere_partials
-from .grids import RadialGrid, SphereGrid
+from .fields import _pole_extended, _spectral_derivative, sphere_partials
+from .grids import SphereGrid
 
 MAX_ORDER = 4
 FIT_CONDITION_LIMIT = 1e8
@@ -233,21 +232,6 @@ def _equivariant_series(flavor: str, K: float | None, n: int,
                        for j in range(1, i))
             ledger.append(float(a_i))
     return AsymptoticSeries(flavor, K, n, tuple(u), tuple(ledger), None)
-
-
-def series_profile(series: AsymptoticSeries, grid: RadialGrid) -> CorotationalProfile:
-    """Sample an equivariant series as a (psi, phi) profile on a radial grid.
-
-    Inside r < 1 the partial sums diverge; the profile is clamped to its
-    value at r = 1 there (only the tail of the profile is meaningful).
-    """
-    if not series.is_equivariant:
-        raise HmfxError("profile sampling needs an equivariant series")
-    r = np.maximum(grid.nodes, 1.0)
-    vals = series.evaluate(r)
-    psi, phi = vals[..., 0].copy(), vals[..., 1].copy()
-    psi[0] = 0.0
-    return CorotationalProfile(grid, series.n, psi=psi, phi=phi)
 
 
 def series_ode_residual(series: AsymptoticSeries, radii) -> np.ndarray:

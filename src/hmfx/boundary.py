@@ -116,8 +116,7 @@ def from_sphere_samples(samples: np.ndarray, sphere: SphereGrid,
     if samples.shape[:2] != (sphere.n_theta, sphere.n_phi):
         raise GridError("boundary samples do not match the sphere grid")
     m = samples.shape[-1]
-    north = samples[0].mean(axis=0)
-    south = samples[-1].mean(axis=0)
+    north, south = sphere.pole_values(samples)
     vals = np.concatenate([north[None, None].repeat(sphere.n_phi, axis=1),
                            samples,
                            south[None, None].repeat(sphere.n_phi, axis=1)], axis=0)

@@ -50,6 +50,14 @@ def _write_csv(path: pathlib.Path, header: list[str], rows) -> None:
                              for v in row])
 
 
+def _checked_float(cfg: RunConfig, key: str, ok, requirement: str) -> float:
+    """``key`` as a number, a config error unless ``ok(value)``."""
+    value = cfg.get_float(key)
+    if not ok(value):
+        raise ConfigError(f"{key} must {requirement}, got {value:g}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -71,7 +79,7 @@ def cmd_solve_corot(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 def cmd_solve_gl(cfg: RunConfig, out: pathlib.Path) -> dict:
     n = cfg.get_int("run.n")
-    K = cfg.get_float("run.K")
+    K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
     h_inf = cfg.get_float("run.h_inf")
     profile, info = solve_gl_corot(
         n, K, np.sin(h_inf), np.cos(h_inf), r_max=cfg.get_float("grid.r_max"),
@@ -85,8 +93,9 @@ def cmd_solve_gl(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 
 def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
-    sigma = cfg.get_float("run.sigma")
-    K = cfg.get_float("run.K")
+    sigma = _checked_float(cfg, "run.sigma", lambda s: 0.0 <= s <= 1.0,
+                           "lie in [0, 1]")
+    K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
     u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
     radial = RadialGrid.graded(cfg.get_float("grid.fp_r_max"),
                                cfg.get_float("grid.fp_inner_spacing"))
@@ -96,7 +105,7 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
     if path.is_corotational and path.m == 4:
         U0 = fixedpoint.caloric_corotational_field(path, radial, sphere)
     else:
-        U0 = weighted.caloric_extension(path, radial, sphere, self_check=False)
+        U0 = weighted.caloric_extension(path, radial, sphere)
     state = fixedpoint.picard_iterate(U0, K, sigma=sigma,
                                       tol=cfg.get_tolerance("tol.picard"))
     if not state.converged:

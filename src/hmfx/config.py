@@ -3,8 +3,9 @@
 The format is deliberately primitive: ``[section]`` headers, one
 ``key = value`` pair per line, ``#`` comments, arrays as comma lists.
 Keys flatten to ``section.key``; every tolerance has a default, so a
-missing key never aborts a run.  The raw pairs are echoed verbatim into
-each run summary for reproducibility.
+missing key never aborts a run, and a key the program does not read is a
+configuration error.  The raw pairs are echoed verbatim into each run
+summary for reproducibility.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ DEFAULTS = {
     "run.K": "10",
     "run.K_ladder": "1,10,100",
     "run.sigma": "0",
-    "run.sigma_path": "1,0.9,0.5,0",
     "run.boundary": "corotational(0.1)",
     "run.flavor": "hmf",
-    "run.t": "1",
     "grid.r_max": "40",
-    "grid.inner_spacing": "0.02",
-    "grid.n_theta": "16",
-    "grid.n_phi": "32",
     "grid.fp_r_max": "16",
     "grid.fp_inner_spacing": "0.2",
     "grid.fp_n_theta": "8",
@@ -41,13 +37,14 @@ DEFAULTS = {
     "tol.coefficient_floor": "1e-8",
     "tol.slack": "0.05",
     "tol.eps0": "0.02",
-    "tol.delta": "0.25",
     "tol.C": "10",
     "diag.probe_radii": "5,10,20",
     "diag.mono_radii": "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45",
     "caloric.radii": "2,3,4.5,7,10,15,22,33,50",
     "caloric.times": "0.25,1,4",
 }
+# keys a command needs that have no default
+NO_DEFAULT_KEYS = ("run.h_inf", "run.sweep_command")
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -84,6 +81,10 @@ class RunConfig:
         if self.tolerance_profile not in TOLERANCE_PROFILES:
             raise ConfigError(
                 f"unknown tolerance profile {self.tolerance_profile!r}")
+        unknown = [k for k in sorted(self.values)
+                   if k not in DEFAULTS and k not in NO_DEFAULT_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
 
     @classmethod
     def load(cls, path, tolerance_profile: str = "default") -> "RunConfig":

@@ -92,13 +92,14 @@ def hm_residual(profile: CorotationalProfile, n: int | None = None) -> np.ndarra
 
 
 class HermiteProfile:
-    """Piecewise-quintic Hermite angle profile r -> (h(r), h'(r)).
+    """Piecewise-quintic Hermite radial profile r -> (h(r), h'(r)).
 
     Built on fixed nodes from the node values (h, h', h''), so it is C^2;
     the shooting profile's nodes are the integrator's output radii, not
-    its accepted steps.  Calling it locates each radius with one
-    ``searchsorted`` and evaluates h and h' together by Horner's rule;
-    radii past the last node use the last piece.
+    its accepted steps, and a penalized (psi, phi) profile uses one per
+    component on its collocation grid.  Calling it locates each radius
+    with one ``searchsorted`` and evaluates h and h' together by Horner's
+    rule; radii past the last node use the last piece.
     """
 
     def __init__(self, r, h, dh, d2h):
@@ -180,8 +181,7 @@ def _dense_defect(dense, n: int, r: np.ndarray, delta: float = 1e-2) -> np.ndarr
 
 
 def shoot_hm(n: int, slope: float, r_max: float = 40.0,
-             grid: RadialGrid | None = None,
-             fit_window: tuple[float, float] | None = None) -> ShootingResult:
+             grid: RadialGrid | None = None) -> ShootingResult:
     """Integrate the regular angle solution with initial slope ``slope``.
 
     One ``odeint`` (LSODA) call (the drift term (r/2) h' makes the
@@ -191,7 +191,7 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     interpolant on those radii (not on LSODA's accepted steps), with h''
     from the equation and a node (0, slope, 0) at the origin.  A node with
     |h'| >= 50 is a blow-up.  The limit angle is the constant of a
-    {1, r^-2} least-squares fit on the tail window, which removes the
+    {1, r^-2} least-squares fit on [r_max / 2, r_max], which removes the
     leading truncation error of simply reading off h(r_max).
     """
     if r_max < 20.0:
@@ -225,8 +225,7 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
                            np.concatenate([[slope], dh]),
                            np.concatenate([[0.0], _hm_d2h(n, r, h, dh)]))
 
-    window = fit_window if fit_window is not None else (0.5 * r_max, r_max)
-    r_fit = np.linspace(window[0], window[1], 40)
+    r_fit = np.linspace(0.5 * r_max, r_max, 40)
     basis = np.stack([np.ones_like(r_fit), r_fit**-2.0], axis=1)
     coef, *_ = np.linalg.lstsq(basis, dense(r_fit)[0], rcond=None)
     h_inf, farfield = float(coef[0]), float(coef[1])
@@ -375,10 +374,7 @@ def _gl_initial_guess(grid: RadialGrid, n: int, K: float,
     r = grid.nodes
     core = np.sqrt((n - 1) / max(K, 1.0))
     psi = psi_inf * r / np.sqrt(r * r + core * core)
-    phi = np.full_like(r, phi_inf if phi_inf != 0.0 else 0.0)
-    if phi_inf == 0.0:
-        phi = np.sqrt(np.clip(1.0 - psi**2, 0.0, 1.0)) * 0.0
-    return psi, phi
+    return psi, np.full_like(r, phi_inf)
 
 
 def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,

@@ -26,7 +26,7 @@ class SingularPointError(GeometryDomainError):
 
 
 class AccuracyError(HmfxError):
-    """A quadrature failed its internal self-estimate."""
+    """A quadrature result breaks a bound it must satisfy (the maximum principle)."""
 
 
 class ShootingDivergedError(HmfxError):
@@ -89,10 +89,6 @@ class TimeWindowError(HmfxError):
 
 class SupportError(HmfxError):
     """A test vector field is not compactly supported in the grid interior."""
-
-
-class RegularityError(HmfxError):
-    """A probe overlaps a region flagged by the regularity scan."""
 
 
 class WindowError(HmfxError):

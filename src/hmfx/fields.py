@@ -225,33 +225,16 @@ def gradient(field: MapField) -> np.ndarray:
     return grad
 
 
-def gradient_norm_samples(field: MapField) -> np.ndarray:
-    """Frobenius norm |grad u| per node."""
-    g = gradient(field)
-    return np.sqrt((g * g).sum(axis=(-2, -1)))
-
-
 # ---------------------------------------------------------------------------
 # weighted norms
 
 
-def weighted_sup_norm(field: MapField | np.ndarray, p: float,
-                      radii: np.ndarray | None = None) -> float:
-    """sup over nodes of (1 + |x|)^p |V(x)|.
-
-    Accepts a MapField, or a raw sample array together with its radii.
-    """
+def weighted_sup_norm(field: MapField, p: float) -> float:
+    """sup over nodes of (1 + |x|)^p |V(x)|."""
     if p < 0:
         raise HmfxError("weight exponent must be non-negative")
-    if isinstance(field, MapField):
-        mags = field.norm_samples()
-        r = np.broadcast_to(field.radii[..., 0], mags.shape)
-    else:
-        arr = np.asarray(field, dtype=float)
-        mags = np.linalg.norm(arr, axis=-1) if arr.ndim > 1 else np.abs(arr)
-        if radii is None:
-            raise HmfxError("raw samples need explicit radii")
-        r = np.broadcast_to(np.asarray(radii, dtype=float), mags.shape)
+    mags = field.norm_samples()
+    r = np.broadcast_to(field.radii[..., 0], mags.shape)
     if not np.all(np.isfinite(mags)):
         raise HmfxError("weighted sup norm rejects non-finite samples")
     return float(((1.0 + r) ** p * mags).max())
@@ -264,62 +247,6 @@ def x_norm(field: MapField) -> float:
     r = np.broadcast_to(field.radii[..., 0], gmag.shape)
     return (weighted_sup_norm(field, 2.0)
             + float(((1.0 + r) ** 3 * gmag).max()))
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-def _augmented_values(field: MapField) -> tuple[np.ndarray, np.ndarray]:
-    """Values with pole rows prepended/appended (means of adjacent rows)."""
-    sph = field.sphere
-    north = field.values[:, :1, :, :].mean(axis=2, keepdims=True)
-    south = field.values[:, -1:, :, :].mean(axis=2, keepdims=True)
-    vals = np.concatenate(
-        [np.broadcast_to(north, (field.radial.size, 1, sph.n_phi, field.m)),
-         field.values,
-         np.broadcast_to(south, (field.radial.size, 1, sph.n_phi, field.m))],
-        axis=1)
-    theta_aug = np.concatenate([[0.0], sph.theta, [np.pi]])
-    return vals, theta_aug
-
-
-def interpolate(field: MapField, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of the field at Cartesian points (..., 3)."""
-    pts = np.asarray(points, dtype=float)
-    shape = pts.shape[:-1]
-    p = pts.reshape(-1, 3)
-    r = np.linalg.norm(p, axis=1)
-    rmax = field.radial.r_max
-    if np.any(r > rmax * (1.0 + 1e-12) + 1e-12):
-        raise DomainExceededError("interpolation point outside the grid ball")
-    r = np.minimum(r, rmax)
-    theta = np.arccos(np.clip(np.divide(p[:, 2], r, out=np.zeros_like(r),
-                                        where=r > 0), -1.0, 1.0))
-    phi = np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * np.pi)
-
-    vals, theta_aug = _augmented_values(field)
-    nodes = field.radial.nodes
-    i1 = np.clip(np.searchsorted(nodes, r), 1, nodes.size - 1)
-    i0 = i1 - 1
-    tr = (r - nodes[i0]) / (nodes[i1] - nodes[i0])
-
-    j1 = np.clip(np.searchsorted(theta_aug, theta), 1, theta_aug.size - 1)
-    j0 = j1 - 1
-    tt = (theta - theta_aug[j0]) / (theta_aug[j1] - theta_aug[j0])
-
-    dp = field.sphere.d_phi
-    kf = phi / dp
-    k0 = np.floor(kf).astype(int) % field.sphere.n_phi
-    k1 = (k0 + 1) % field.sphere.n_phi
-    tp = kf - np.floor(kf)
-
-    out = np.zeros((p.shape[0], field.m))
-    for ii, wr in ((i0, 1.0 - tr), (i1, tr)):
-        for jj, wt in ((j0, 1.0 - tt), (j1, tt)):
-            for kk, wp in ((k0, 1.0 - tp), (k1, tp)):
-                out += (wr * wt * wp)[:, None] * vals[ii, jj, kk]
-    return out.reshape(*shape, field.m)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +275,6 @@ def ball_average(fn, center, radius: float, n_radial: int = 24,
     total = np.einsum("i,j,ij...->...", w_rho, w_dir, vals)
     volume = 4.0 / 3.0 * np.pi * radius**3
     return total / volume
-
-
-def quadrature_ball(field: MapField, center, radius: float,
-                    n_radial: int = 24,
-                    sphere: SphereGrid | None = None) -> np.ndarray | float:
-    """Average integral of grid samples over a ball inside the domain."""
-    center = np.asarray(center, dtype=float)
-    if np.linalg.norm(center) + radius > field.radial.r_max * (1 + 1e-12):
-        raise DomainExceededError("probe ball exits the computational domain")
-    out = ball_average(lambda p: interpolate(field, p), center, radius,
-                       n_radial=n_radial, sphere=sphere)
-    return float(out[0]) if field.m == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ fixed point of V -> A^{-1} rhs(V), where A is the weighted Laplacian minus
 the non-compact rank-one penalty linearization (kept on the left, exactly
 as the construction splits it) with a zero Dirichlet condition on the
 outer shell, and rhs collects the penalty nonlinearity Q plus the discrete
-defect of the first approximation.  The linear operator is never
-assembled: each Picard step runs GMRES on its stencil product, with the
-exact inverse of its separable part, set up once per (U0, K), as the
-preconditioner.
+defect of the first approximation.  The target enters only through
+``TargetSphere``'s plateau force and its rank-one linearization.  The
+linear operator is never assembled: each Picard step runs GMRES on its
+stencil product, with the exact inverse of its separable part, set up
+once per (U0, K), as the preconditioner.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .boundary import BoundaryMap, corotational_map
-from .errors import (ConfigError, DivergenceError, GridError, LinearSolveError,
-                     SingularPointError)
-from .fields import MapField, x_norm
+from .errors import ConfigError, DivergenceError, GridError, LinearSolveError
+from .fields import MapField, gradient, x_norm
 from .grids import RadialGrid, SphereGrid
 from .target import TargetSphere
-from .weighted import CaloricQuadrature, weighted_laplacian_field
+from .weighted import (CaloricQuadrature, potential_radial,
+                       weighted_laplacian_field)
 
-AMBIENT_FLOOR = 1e-6
 # GMRES stops at this relative residual ||b - A x|| / ||b||
 LINEAR_RTOL = 1e-12
 GMRES_RESTART = 30
@@ -73,8 +73,7 @@ def path_map(u0: BoundaryMap, sigma: float) -> BoundaryMap:
 
 
 def caloric_corotational_field(u0: BoundaryMap, radial: RadialGrid,
-                               sphere: SphereGrid,
-                               quad: CaloricQuadrature | None = None) -> MapField:
+                               sphere: SphereGrid) -> MapField:
     """Heat-kernel first approximation of corotational data, symmetry-fast.
 
     The smoothing of (sin h * omega, cos h) is itself of the form
@@ -83,10 +82,9 @@ def caloric_corotational_field(u0: BoundaryMap, radial: RadialGrid,
     """
     if not u0.is_corotational or u0.m != 4:
         raise GridError("symmetric extension needs corotational data into S^3")
-    quad = quad if quad is not None else CaloricQuadrature()
     probes = np.zeros((radial.size, 3))
     probes[:, 2] = radial.nodes
-    vals = quad.extend(u0, probes, t=1.0)  # (Nr, 4): (0, 0, P, Q)
+    vals = CaloricQuadrature().extend(u0, probes, t=1.0)  # (Nr, 4): (0, 0, P, Q)
     P, Q = vals[:, 2], vals[:, 3]
     dirs = sphere.directions
     out = np.empty((radial.size, sphere.n_theta, sphere.n_phi, 4))
@@ -100,15 +98,6 @@ def caloric_corotational_field(u0: BoundaryMap, radial: RadialGrid,
 # penalty right-hand side
 
 
-def _chi_and_unit(u: np.ndarray, target: TargetSphere):
-    mag = np.linalg.norm(u, axis=-1)
-    if np.any(mag < AMBIENT_FLOOR):
-        raise SingularPointError(
-            "field magnitude below the ambient floor; sphere formulas undefined")
-    chi_p = target.chi_prime((mag - 1.0) ** 2)
-    return mag, chi_p, u / mag[..., None]
-
-
 def assemble_Q(U0: MapField, V: MapField, K: float,
                target: TargetSphere | None = None) -> MapField:
     """Penalty nonlinearity Q(U0, V) of the fixed-point splitting.
@@ -119,12 +108,9 @@ def assemble_Q(U0: MapField, V: MapField, K: float,
     the operator side.
     """
     target = target if target is not None else TargetSphere(m=U0.m)
-    _, chi0, uhat = _chi_and_unit(U0.values, target)
-    w = U0.values + V.values
-    magw, chiw, what = _chi_and_unit(w, target)
-    lin = -K * chi0[..., None] * (uhat * V.values).sum(axis=-1)[..., None] * uhat
-    full = K * chiw[..., None] * (magw - 1.0)[..., None] * what
-    return U0.with_values(lin + full)
+    *_, lin = target.cs_linearization(U0.values, K)
+    full = target.cs_force(U0.values + V.values, K)
+    return U0.with_values(full - lin(V.values))
 
 
 def assemble_rhs(U0: MapField, V: MapField, K: float,
@@ -225,16 +211,14 @@ class LinearizedOperator:
         if K <= 0:
             raise GridError("penalty strength K must be positive")
         self.U0 = U0
-        self.K = K
-        self.target = target if target is not None else TargetSphere(m=U0.m)
-        _, self._chi0, self._uhat = _chi_and_unit(U0.values, self.target)
+        target = target if target is not None else TargetSphere(m=U0.m)
+        chi0, uhat, self._lin = target.cs_linearization(U0.values, K)
         N, nt, nph, m = self._shape = U0.values.shape
         self.n_unknown = m + (N - 2) * nt * nph * m
         self.iterations: list[int] = []  # GMRES iterations per solve
         # sphere-weighted mean of K chi' u_hat u_hat^T over interior shells
-        w = self._chi0[1:-1] * U0.sphere.weights / (4.0 * np.pi * (N - 2))
-        shift = K * np.einsum("ijk,ijka,ijkb->ab", w, self._uhat[1:-1],
-                              self._uhat[1:-1])
+        w = chi0[1:-1] * U0.sphere.weights / (4.0 * np.pi * (N - 2))
+        shift = K * np.einsum("ijk,ijka,ijkb->ab", w, uhat[1:-1], uhat[1:-1])
         shape = (self.n_unknown, self.n_unknown)
         self._A = scipy.sparse.linalg.LinearOperator(
             shape, lambda x: self._pack(self.apply(self._unpack(x))))
@@ -279,24 +263,18 @@ class LinearizedOperator:
     def apply(self, field: MapField) -> MapField:
         """Forward product A field (the outer shell row is not meaningful)."""
         lap = weighted_laplacian_field(field)
-        uhat = self._uhat
-        lin = -self.K * self._chi0[..., None] \
-            * (uhat * field.values).sum(axis=-1)[..., None] * uhat
-        return field.with_values(lap.values + lin)
+        return field.with_values(lap.values - self._lin(field.values))
 
 
-def solve_linear_dirichlet(Q: MapField, U0: MapField, K: float,
-                           operator: LinearizedOperator | None = None,
-                           target: TargetSphere | None = None
+def solve_linear_dirichlet(Q: MapField, op: LinearizedOperator
                            ) -> tuple[MapField, float]:
     """Solve the linearized Dirichlet problem; returns (W, barrier ratio).
 
     The barrier ratio max f |W| / ||Q||_X tracks the weighted a priori
     bound of the construction.
     """
-    op = operator if operator is not None else LinearizedOperator(U0, K, target)
     W = op.solve(Q)
-    f = 0.25 * U0.radial.nodes**2 + 0.5 * U0.n
+    f = potential_radial(op.U0.radial.nodes, op.U0.n)
     fw = (f[:, None, None] * W.norm_samples()).max()
     q_norm = x_norm(Q)
     return W, float(fw / q_norm) if q_norm > 0 else 0.0
@@ -330,9 +308,7 @@ def static_residual(U0: MapField, V: MapField, K: float,
     target = target if target is not None else TargetSphere(m=U0.m)
     total = U0.with_values(U0.values + V.values)
     lap = weighted_laplacian_field(total)
-    mag, chi_p, what = _chi_and_unit(total.values, target)
-    force = K * chi_p[..., None] * (mag - 1.0)[..., None] * what
-    res = lap.values - force
+    res = lap.values - target.cs_force(total.values, K)
     return float(np.abs(res[:-1]).max())
 
 
@@ -355,7 +331,7 @@ def picard_iterate(U0: MapField, K: float, sigma: float = 0.0,
     converged = False
     for _ in range(max_iters):
         rhs = assemble_rhs(U0, V, K, target, extension_defect=defect)
-        W, b = solve_linear_dirichlet(rhs, U0, K, operator=op)
+        W, b = solve_linear_dirichlet(rhs, op)
         barrier = max(barrier, b)
         diff = x_norm(U0.with_values(W.values - V.values))
         steps.append(diff)
@@ -394,10 +370,8 @@ class DecayReport:
 
 def verify_decay(V: MapField) -> DecayReport:
     """Weighted sups and fitted tail decay exponents of a correction field."""
-    from .fields import gradient  # local import to avoid cycle at module load
-
     r = V.radial.nodes
-    f = 0.25 * r**2 + 0.5 * V.n
+    f = potential_radial(r, V.n)
     mag = V.norm_samples().max(axis=(1, 2))
     g = gradient(V)
     gmag = np.sqrt((g * g).sum(axis=(-2, -1))).max(axis=(1, 2))

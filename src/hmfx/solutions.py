@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.interpolate
 
+from .corotational import HermiteProfile
 from .errors import DomainExceededError, HmfxError, TimeOrderError
 
 
@@ -120,6 +120,17 @@ def _equivariant_fns(radial, m: int):
     return fn, grad_fn
 
 
+def _conical_gradient_sq(h_inf: float):
+    """|grad u_0|^2 = 2 sin^2(h_inf) / |x|^2 of corotational data at angle h_inf."""
+    s2 = 2.0 * np.sin(h_inf) ** 2
+
+    def bgrad(points):
+        r2 = (np.asarray(points, dtype=float) ** 2).sum(axis=-1)
+        return s2 / r2
+
+    return bgrad
+
+
 def from_angle(angle, name: str = "equivariant",
                boundary_angle: float | None = None) -> SelfSimilarSolution:
     """Sphere-valued equivariant solution from an angle profile h(r).
@@ -141,14 +152,7 @@ def from_angle(angle, name: str = "equivariant",
         return 0.5 * (dh * dh + 2.0 * s_r * s_r)
 
     fn, grad_fn = _equivariant_fns(radial, 4)
-    bgrad = None
-    if boundary_angle is not None:
-        s2 = 2.0 * np.sin(boundary_angle) ** 2
-
-        def bgrad(points):
-            r2 = (np.asarray(points, dtype=float) ** 2).sum(axis=-1)
-            return s2 / r2
-
+    bgrad = None if boundary_angle is None else _conical_gradient_sq(boundary_angle)
     return SelfSimilarSolution(name, 4, "hm", fn, grad_fn, density,
                                boundary_gradient_sq=bgrad)
 
@@ -192,18 +196,19 @@ def constant_solution(m: int = 4) -> SelfSimilarSolution:
 def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSolution:
     """Wrap a converged penalized (psi, phi) collocation profile, n = 3.
 
-    The density is e = (P'^2 + 2 P^2 / r^2 + Q'^2) / 2 + (K/4)(1 - P^2 - Q^2)^2
+    P and Q are quintic Hermite interpolants of the node values with the
+    grid's 3-point first and second derivatives.  The density is
+    e = (P'^2 + 2 P^2 / r^2 + Q'^2) / 2 + (K/4)(1 - P^2 - Q^2)^2
     with (P, Q) = (psi, phi).
     """
     if profile.n != 3 or profile.is_angle_form:
         raise HmfxError("needs an n = 3 profile in (psi, phi) form")
     grid = profile.grid
-    sp_p = scipy.interpolate.CubicSpline(grid.nodes, profile.psi)
-    sp_q = scipy.interpolate.CubicSpline(grid.nodes, profile.phi)
-    dsp_p, dsp_q = sp_p.derivative(), sp_q.derivative()
+    hp, hq = (HermiteProfile(grid.nodes, v, grid.apply_d1(v), grid.apply_d2(v))
+              for v in (profile.psi, profile.phi))
 
     def radial(r):
-        return sp_p(r), dsp_p(r), sp_q(r), dsp_q(r)
+        return (*hp(r), *hq(r))
 
     def density(r):
         r = np.asarray(r, dtype=float)
@@ -214,12 +219,6 @@ def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSo
 
     fn, grad_fn = _equivariant_fns(radial, 4)
     h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
-    s2 = 2.0 * np.sin(h_inf) ** 2
-
-    def bgrad(points):
-        r2 = (np.asarray(points, dtype=float) ** 2).sum(axis=-1)
-        return s2 / r2
-
     return SelfSimilarSolution(name or f"gl(K={K:g})", 4, "gl", fn, grad_fn,
                                density, K=K, domain_radius=grid.r_max,
-                               boundary_gradient_sq=bgrad)
+                               boundary_gradient_sq=_conical_gradient_sq(h_inf))

@@ -1,18 +1,23 @@
 """Closed-form geometry of the round sphere S^{m-1} as target manifold.
 
 Distance, projection, the plateau cutoff used by the penalized flow, the
-second fundamental form, and both penalty forces.  Everything is a pure
-function of the ambient vector, so the module is safe for concurrent use.
+second fundamental form, both penalty forces, and the plateau force's
+rank-one linearization, through which alone the fixed-point solve sees
+the target.  Everything is a pure function of the ambient vector, so the
+module is safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GeometryDomainError, HmfxError, SingularPointError, TangencyError
+
+# below this ambient magnitude the sphere formulas of the plateau force fail
+AMBIENT_FLOOR = 1e-6
 
 
 def _monotone_bridge() -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +82,6 @@ class TargetSphere:
 
     # -- distance and projection ------------------------------------------
 
-    def dist(self, u):
-        """d_N(u) = | |u| - 1 |."""
-        return np.abs(np.linalg.norm(np.asarray(u, dtype=float), axis=-1) - 1.0)
-
     def dist_sq(self, u):
         r = np.linalg.norm(np.asarray(u, dtype=float), axis=-1)
         return (r - 1.0) ** 2
@@ -130,13 +131,30 @@ class TargetSphere:
         r2 = (u * u).sum(axis=-1, keepdims=True)
         return (K / t) * (1.0 - r2) * u
 
-    def cs_force(self, u, K: float, t: float = 1.0):
-        """(K / t) chi'(d_N^2(u)) grad(d_N^2 / 2)(u)."""
-        if K <= 0 or t <= 0:
-            raise GeometryDomainError("penalty parameters K and t must be positive")
-        u = np.asarray(u, dtype=float)
-        dsq = self.dist_sq(u)
-        return (K / t) * self.chi_prime(dsq)[..., None] * self.dist_sq_gradient(u)
+    def _plateau_factors(self, u):
+        """(|u| - 1, chi'(d_N^2(u)), u / |u|) per ambient point."""
+        mag = np.linalg.norm(u, axis=-1)
+        if np.any(mag < AMBIENT_FLOOR):
+            raise SingularPointError(
+                "field magnitude below the ambient floor; sphere formulas undefined")
+        return mag - 1.0, self.chi_prime((mag - 1.0) ** 2), u / mag[..., None]
+
+    def cs_force(self, u, K: float):
+        """Plateau force K chi'(d_N^2(u)) grad(d_N^2 / 2)(u)."""
+        if K <= 0:
+            raise GeometryDomainError("penalty strength K must be positive")
+        off, chi_p, unit = self._plateau_factors(np.asarray(u, dtype=float))
+        return K * chi_p[..., None] * off[..., None] * unit
+
+    def cs_linearization(self, u0, K: float):
+        """(chi'(d_N^2(u0)), u_hat = u0 / |u0|, v -> K chi' <u_hat, v> u_hat):
+        the rank-one part of the plateau force's derivative at u0."""
+        _, chi_p, unit = self._plateau_factors(np.asarray(u0, dtype=float))
+
+        def apply(v):
+            return K * chi_p[..., None] * (unit * v).sum(axis=-1)[..., None] * unit
+
+        return chi_p, unit, apply
 
 
 def quintic_step(s):

@@ -236,7 +236,6 @@ class CaloricQuadrature:
 
 
 _DEFAULT_QUAD = None
-_COARSE_QUAD = None
 
 
 def _default_quadrature() -> CaloricQuadrature:
@@ -246,42 +245,20 @@ def _default_quadrature() -> CaloricQuadrature:
     return _DEFAULT_QUAD
 
 
-def _coarse_quadrature() -> CaloricQuadrature:
-    global _COARSE_QUAD
-    if _COARSE_QUAD is None:
-        _COARSE_QUAD = CaloricQuadrature(n_theta=16, n_phi=16)
-    return _COARSE_QUAD
-
-
-def caloric_extension_points(u0: BoundaryMap, points: np.ndarray, t: float = 1.0,
-                             quad: CaloricQuadrature | None = None,
-                             self_check: bool = False,
-                             check_tol: float = 5e-4) -> np.ndarray:
+def caloric_extension_points(u0: BoundaryMap, points: np.ndarray,
+                             t: float = 1.0) -> np.ndarray:
     """Heat-kernel smoothing of the boundary data at arbitrary points."""
-    quad = quad if quad is not None else _default_quadrature()
-    out = quad.extend(u0, points, t=t)
-    if self_check:
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        sample = pts[:: max(1, pts.shape[0] // 16)]
-        coarse = _coarse_quadrature().extend(u0, sample, t=t)
-        fine = quad.extend(u0, sample, t=t)
-        err = np.abs(coarse - fine).max()
-        if err > check_tol:
-            raise AccuracyError(
-                f"caloric quadrature self-estimate {err:.3e} exceeds {check_tol:.1e}")
-    return out
+    return _default_quadrature().extend(u0, points, t=t)
 
 
-def caloric_extension(u0: BoundaryMap, radial: RadialGrid, sphere: SphereGrid,
-                      quad: CaloricQuadrature | None = None,
-                      self_check: bool = True) -> MapField:
+def caloric_extension(u0: BoundaryMap, radial: RadialGrid,
+                      sphere: SphereGrid) -> MapField:
     """Caloric first approximation sampled on a product grid (t = 1).
 
     The discrete maximum principle |U0| <= max |u0| is asserted post hoc.
     """
     pts = radial.nodes[:, None, None, None] * sphere.directions[None]
-    vals = caloric_extension_points(u0, pts, t=1.0, quad=quad,
-                                    self_check=self_check)
+    vals = caloric_extension_points(u0, pts, t=1.0)
     vals[0] = vals[0, 0, 0]
     field = MapField(radial, sphere, vals)
     bound = np.linalg.norm(u0.sphere_samples(sphere), axis=-1).max()

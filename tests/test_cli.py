@@ -38,6 +38,41 @@ class TestExitCodes:
         code, _, summary = run(tmp_path, "solve-corot", "--set", "garbage")
         assert code == EXIT_CONFIG
 
+    def test_unknown_override_key_is_config_error(self, tmp_path):
+        code, _, summary = run(tmp_path, "solve-corot", "--set",
+                               "run.h_inf=0.2", "--set", "run.h_iff=3")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "'run.h_iff'" in summary["error"]
+
+    def test_unknown_config_file_key_is_config_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nh_inf = 0.2\n[grid]\ninner_spacing = 0.5\n")
+        code, _, summary = run(tmp_path, "solve-corot", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "'grid.inner_spacing'" in summary["error"]
+
+    @pytest.mark.parametrize("args, key", [
+        (("fixed-point", "--set", "run.K=0"), "run.K"),
+        (("fixed-point", "--set", "run.sigma=1.5"), "run.sigma"),
+        (("fixed-point", "--set", "run.sigma=-0.1"), "run.sigma"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "run.K=-1"), "run.K"),
+        (("sweep", "--set", "run.sweep_command=solve-gl",
+          "--set", "run.h_inf=0.1", "--set", "run.K_ladder=0,-1"), "run.K"),
+    ])
+    def test_out_of_range_penalty_or_homotopy_is_config_error(
+            self, tmp_path, monkeypatch, args, key):
+        def no_solve(*a, **k):
+            raise AssertionError("solved before checking the configuration")
+
+        monkeypatch.setattr(cli, "solve_gl_corot", no_solve)
+        monkeypatch.setattr(fixedpoint, "picard_iterate", no_solve)
+        code, _, summary = run(tmp_path, *args)
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert key in summary["error"]
+
     def test_solver_error_reports_reachable_range(self, tmp_path):
         code, _, summary = run(tmp_path, "solve-corot", "--set",
                                "run.h_inf=3.0")

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmfx.errors import DomainExceededError
 from hmfx.fields import (CorotationalProfile, MapField, ball_average,
-                         gradient, interpolate, load_field_csv,
-                         load_profile_csv, save_field_csv, save_profile_csv,
-                         weighted_sup_norm, x_norm)
+                         gradient, load_field_csv, load_profile_csv,
+                         save_field_csv, save_profile_csv, weighted_sup_norm,
+                         x_norm)
 from hmfx.grids import RadialGrid, SphereGrid
 
 
@@ -43,19 +42,6 @@ class TestMapField:
         interior = slice(1, -1)
         err = np.abs(g - 2.0 * fld.points)[interior]
         assert err.max() < 1e-6
-
-    def test_interpolate_reproduces_nodes(self, grids):
-        radial, sphere = grids
-        fld = MapField.from_function(radial, sphere, lambda p: p)
-        probe = fld.points[5, 3, 7]
-        np.testing.assert_allclose(interpolate(fld, probe[None]), probe[None],
-                                   atol=1e-10)
-
-    def test_interpolate_outside_domain_raises(self, grids):
-        radial, sphere = grids
-        fld = MapField.constant(radial, sphere, [1.0, 0.0, 0.0])
-        with pytest.raises(DomainExceededError):
-            interpolate(fld, np.array([[100.0, 0.0, 0.0]]))
 
 
 class TestNorms:

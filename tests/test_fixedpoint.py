@@ -15,7 +15,8 @@ from hmfx.fixedpoint import (LinearizedOperator, assemble_Q, assemble_rhs,
                              path_map, picard_iterate, static_residual,
                              verify_decay)
 from hmfx.grids import SphereGrid
-from hmfx.weighted import caloric_extension_points
+from hmfx.target import TargetSphere
+from hmfx.weighted import caloric_extension_points, weighted_laplacian_field
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,30 @@ class TestQOperator:
         ss_tot = np.sum((norms - np.mean(norms)) ** 2)
         r2 = 1.0 - (res[0] / ss_tot if res.size else 0.0)
         assert r2 >= 0.95
+
+
+class TestPlateauForce:
+    def test_Q_and_apply_match_the_closed_forms(self, U0):
+        # the closed forms the fixed-point module once wrote out itself;
+        # the perturbations reach the bridge and the plateau of chi
+        rng = np.random.default_rng(11)
+        K = 10.0
+        base = U0.with_values(U0.values + 0.05 * rng.standard_normal(U0.values.shape))
+        V = U0.with_values(0.2 * rng.standard_normal(U0.values.shape))
+        chi_prime = TargetSphere(m=4).chi_prime
+
+        def factors(u):
+            mag = np.linalg.norm(u, axis=-1)
+            return mag, chi_prime((mag - 1.0) ** 2), u / mag[..., None]
+
+        _, chi0, uhat = factors(base.values)
+        magw, chiw, what = factors(base.values + V.values)
+        lin = -K * chi0[..., None] * (uhat * V.values).sum(axis=-1)[..., None] * uhat
+        full = K * chiw[..., None] * (magw - 1.0)[..., None] * what
+        assert np.any(chiw == 0.0) and np.any((chiw > 0.0) & (chiw < 1.0))
+        np.testing.assert_array_equal(assemble_Q(base, V, K).values, lin + full)
+        np.testing.assert_array_equal(LinearizedOperator(base, K).apply(V).values,
+                                      weighted_laplacian_field(V).values + lin)
 
 
 class TestPicard:

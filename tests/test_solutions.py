@@ -5,6 +5,7 @@ import pytest
 
 from hmfx.corotational import solve_corot, solve_gl_corot
 from hmfx.errors import DomainExceededError, TimeOrderError
+from hmfx.grids import RadialGrid
 from hmfx.solutions import (constant_solution, equator_solution, from_angle,
                             from_gl_profile, from_shooting)
 
@@ -110,3 +111,28 @@ class TestWrappers:
         val = sol.evaluate(np.array([[r, 0.0, 0.0]]))
         assert val[0, 0] == pytest.approx(profile.psi[40], abs=1e-12)
         assert val[0, 3] == pytest.approx(profile.phi[40], abs=1e-12)
+
+    def test_gl_profile_wrapper_matches_fine_collocation(self):
+        # the Hermite wrapper of the default grid's solve against a solve on
+        # a 10x finer grid: both errors are the coarse collocation's own
+        psi_inf, phi_inf = np.sin(0.2), np.cos(0.2)
+        profile, _ = solve_gl_corot(3, 10.0, psi_inf, phi_inf, r_max=20.0)
+        sol = from_gl_profile(profile, 10.0)
+        grid = RadialGrid.graded(20.0, 0.002, 1.005)
+        fine, _ = solve_gl_corot(3, 10.0, psi_inf, phi_inf, grid=grid)
+        keep = grid.nodes <= 19.9
+        r = grid.nodes[keep]
+        psi, phi = fine.psi[keep], fine.phi[keep]
+        dpsi, dphi = (grid.apply_d1(v)[keep] for v in (fine.psi, fine.phi))
+        pts = np.zeros((r.size, 3))
+        pts[:, 0] = r
+        U = sol.evaluate(pts)
+        assert np.abs(U[:, 0] - psi).max() <= 2e-3
+        assert np.abs(U[:, 3] - phi).max() <= 2e-3
+        # on the x axis grad U has d_x P = P', d_y = d_z of (P y/r, P z/r)
+        # = P / r, and d_x Q = Q'
+        ref = np.zeros((r.size, 3, 4))
+        ref[:, 0, 0] = dpsi
+        ref[:, 1, 1] = ref[:, 2, 2] = np.where(r > 0, psi / np.where(r > 0, r, 1.0), dpsi)
+        ref[:, 0, 3] = dphi
+        assert np.abs(sol.gradient(pts) - ref).max() <= 1e-3

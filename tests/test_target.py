@@ -114,6 +114,17 @@ class TestSphereGeometry:
         np.testing.assert_allclose(T.gl_force(u, 10.0), 0.0, atol=1e-14)
         np.testing.assert_allclose(T.cs_force(u, 10.0), 0.0, atol=1e-14)
 
+    def test_cs_force_is_cutoff_slope_times_distance_gradient(self):
+        # radii 0.3..2 cover the identity part, the bridge and the plateau
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(400, 3))
+        u *= rng.uniform(0.3, 2.0, size=(400, 1)) / np.linalg.norm(u, axis=-1, keepdims=True)
+        T = TargetSphere()
+        K = 10.0
+        ref = K * T.chi_prime(T.dist_sq(u))[:, None] * T.dist_sq_gradient(u)
+        np.testing.assert_allclose(T.cs_force(u, K), ref, rtol=1e-15,
+                                   atol=1e-15 * np.abs(ref).max())
+
     def test_gl_force_direction(self):
         # inside the sphere the penalization pushes outward
         T = TargetSphere()

@@ -114,7 +114,7 @@ class TestCaloricExtension:
     def test_maximum_principle(self):
         u0 = identity_sphere_map()
         fld = caloric_extension(u0, RadialGrid.graded(8.0, 0.3),
-                                SphereGrid(8, 16), self_check=False)
+                                SphereGrid(8, 16))
         assert fld.norm_samples().max() <= 1.0 + 1e-6
 
     def test_corotational_data_stays_corotational(self):
