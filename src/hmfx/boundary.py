@@ -42,7 +42,8 @@ class BoundaryMap:
 
 def _unit(dirs):
     d = np.asarray(dirs, dtype=float)
-    r = np.linalg.norm(d, axis=-1, keepdims=True)
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    r = np.sqrt(x * x + y * y + z * z)[..., None]  # bit-equal to np.linalg.norm
     return d / np.where(r > 0, r, 1.0)
 
 
@@ -89,21 +90,16 @@ def identity_sphere_map() -> BoundaryMap:
 
 def lipschitz_wedge_map() -> BoundaryMap:
     """Fold map: latitude angle g = min(theta, pi - theta), so the southern
-    hemisphere mirrors onto the northern one.  Continuous everywhere (the
-    angle vanishes at both poles), Lipschitz with a gradient kink along the
+    hemisphere mirrors onto the northern one.  On a unit direction
+    (x, y, z) that is (x, y, |z|).  Continuous everywhere (the angle
+    vanishes at both poles), Lipschitz with a gradient kink along the
     equator, not C^1.  Its image is the closed northern hemisphere, so the
     geodesic homotopy to the north pole contracts it to a constant."""
 
     def fn(dirs):
         w = _unit(dirs)
-        theta = np.arccos(np.clip(w[..., 2], -1.0, 1.0))
-        phi = np.arctan2(w[..., 1], w[..., 0])
-        g = np.minimum(theta, np.pi - theta)
-        out = np.empty_like(w)
-        out[..., 0] = np.sin(g) * np.cos(phi)
-        out[..., 1] = np.sin(g) * np.sin(phi)
-        out[..., 2] = np.cos(g)
-        return out
+        w[..., 2] = np.abs(w[..., 2])
+        return w
 
     return BoundaryMap("lipschitz-wedge", 3, fn, smoothness="lipschitz",
                        target_point=np.array([0.0, 0.0, 1.0]))

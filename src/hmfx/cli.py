@@ -22,8 +22,8 @@ import numpy as np
 from . import asymptotics, diagnostics, fixedpoint, solutions, weighted
 from .boundary import builtin_boundary
 from .config import RunConfig
-from .corotational import solve_corot, solve_gl_corot
-from .errors import (ConfigError, HmfxError, NonconvergenceError,
+from .corotational import MIN_TRUNCATION_RADIUS, solve_corot, solve_gl_corot
+from .errors import (ConfigError, GridError, HmfxError, NonconvergenceError,
                      NotAttainedError, PartialResultError)
 from .fields import save_field_csv, save_profile_csv
 from .grids import RadialGrid, SphereGrid
@@ -58,6 +58,28 @@ def _checked_float(cfg: RunConfig, key: str, ok, requirement: str) -> float:
     return value
 
 
+def _checked_tolerance(cfg: RunConfig, key: str) -> float:
+    """Tolerance ``key`` scaled by the profile, a config error unless positive."""
+    _checked_float(cfg, key, lambda tol: tol > 0.0, "be positive")
+    return cfg.get_tolerance(key)
+
+
+def _fp_grids(cfg: RunConfig) -> tuple[RadialGrid, SphereGrid]:
+    """The fixed-point product grid; a value its constructor rejects is a
+    config error naming the keys."""
+    try:
+        radial = RadialGrid.graded(cfg.get_float("grid.fp_r_max"),
+                                   cfg.get_float("grid.fp_inner_spacing"))
+    except GridError as exc:
+        raise ConfigError(f"grid.fp_r_max, grid.fp_inner_spacing: {exc}") from exc
+    try:
+        sphere = SphereGrid(cfg.get_int("grid.fp_n_theta"),
+                            cfg.get_int("grid.fp_n_phi"))
+    except GridError as exc:
+        raise ConfigError(f"grid.fp_n_theta, grid.fp_n_phi: {exc}") from exc
+    return radial, sphere
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -65,8 +87,10 @@ def _checked_float(cfg: RunConfig, key: str, ok, requirement: str) -> float:
 def cmd_solve_corot(cfg: RunConfig, out: pathlib.Path) -> dict:
     n = cfg.get_int("run.n")
     h_inf = cfg.get_float("run.h_inf")
-    r_max = cfg.get_float("grid.r_max")
-    result = solve_corot(n, h_inf, r_max=r_max, tol=cfg.get_tolerance("tol.shoot"))
+    r_max = _checked_float(cfg, "grid.r_max", lambda r: r >= MIN_TRUNCATION_RADIUS,
+                           f"be at least {MIN_TRUNCATION_RADIUS:g}")
+    result = solve_corot(n, h_inf, r_max=r_max,
+                         tol=_checked_tolerance(cfg, "tol.shoot"))
     save_profile_csv(result.profile, out / "profile.csv")
     return {
         "n": n, "h_inf_requested": h_inf, "h_inf_attained": result.h_inf,
@@ -83,7 +107,7 @@ def cmd_solve_gl(cfg: RunConfig, out: pathlib.Path) -> dict:
     h_inf = cfg.get_float("run.h_inf")
     profile, info = solve_gl_corot(
         n, K, np.sin(h_inf), np.cos(h_inf), r_max=cfg.get_float("grid.r_max"),
-        tol=cfg.get_tolerance("tol.newton"))
+        tol=_checked_tolerance(cfg, "tol.newton"))
     save_profile_csv(profile, out / "profile.csv")
     return {
         "n": n, "K": K, "h_inf": h_inf, "iterations": info.iterations,
@@ -96,18 +120,15 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
     sigma = _checked_float(cfg, "run.sigma", lambda s: 0.0 <= s <= 1.0,
                            "lie in [0, 1]")
     K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
+    tol = _checked_tolerance(cfg, "tol.picard")
+    radial, sphere = _fp_grids(cfg)
     u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
-    radial = RadialGrid.graded(cfg.get_float("grid.fp_r_max"),
-                               cfg.get_float("grid.fp_inner_spacing"))
-    sphere = SphereGrid(cfg.get_int("grid.fp_n_theta"),
-                        cfg.get_int("grid.fp_n_phi"))
     path = fixedpoint.path_map(u0, sigma)
     if path.is_corotational and path.m == 4:
         U0 = fixedpoint.caloric_corotational_field(path, radial, sphere)
     else:
         U0 = weighted.caloric_extension(path, radial, sphere)
-    state = fixedpoint.picard_iterate(U0, K, sigma=sigma,
-                                      tol=cfg.get_tolerance("tol.picard"))
+    state = fixedpoint.picard_iterate(U0, K, sigma=sigma, tol=tol)
     if not state.converged:
         last = (f"{state.contraction_ratios[-1]:.4g}"
                 if state.contraction_ratios else "n/a")
@@ -132,10 +153,23 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
     }
 
 
-def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
-    radii = np.asarray(cfg.get_floats("caloric.radii"))
+def _caloric_values(cfg: RunConfig) -> tuple[np.ndarray, list[float]]:
+    """The deviation radii and rescaling times of ``caloric``, checked
+    before any quadrature: the extension needs t > 0, and the decay fit
+    takes logarithms of the radii."""
+    radii = cfg.get_floats("caloric.radii")
+    if not radii or not all(r > 0.0 for r in radii):
+        raise ConfigError(
+            f"caloric.radii must be a non-empty list of positive radii, got {radii}")
     times = cfg.get_floats("caloric.times")
+    if not all(t > 0.0 for t in times):
+        raise ConfigError(f"caloric.times must all be positive, got {times}")
+    return np.asarray(radii), times
+
+
+def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
+    radii, times = _caloric_values(cfg)
+    u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
     quad = weighted.CaloricQuadrature()
     sup_u0 = float(np.linalg.norm(u0.sphere_samples(SphereGrid(24, 48)),
                                   axis=-1).max())
@@ -174,8 +208,8 @@ def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
     if flavor == "hmf":
         series = asymptotics.hmf_coefficients(u0, k, n=cfg.get_int("run.n"))
     elif flavor == "gl":
-        series = asymptotics.gl_coefficients(u0, cfg.get_float("run.K"), k,
-                                             n=cfg.get_int("run.n"))
+        K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
+        series = asymptotics.gl_coefficients(u0, K, k, n=cfg.get_int("run.n"))
     else:
         raise ConfigError(f"unknown series flavor {flavor!r}")
     sups = series.sup_norms()
@@ -237,7 +271,7 @@ def _resolve_solution(cfg: RunConfig, probes: list[float],
                 np.sqrt(2.0) * (probes[0] + 2.0))
     r_max = max(cfg.get_float("grid.r_max"), float(reach))
     result = solve_corot(3, u0.h_inf, r_max=r_max,
-                         tol=cfg.get_tolerance("tol.shoot"))
+                         tol=_checked_tolerance(cfg, "tol.shoot"))
     return solutions.from_shooting(result)
 
 

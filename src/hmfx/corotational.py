@@ -34,6 +34,8 @@ _BLOWUP = 50.0
 # output spacing of each shot: the Hermite profile's nodes
 _NODE_SPACING = 0.025
 _ODEINT_SUCCESS = "Integration successful."
+# smallest truncation radius a shot accepts
+MIN_TRUNCATION_RADIUS = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +196,9 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     {1, r^-2} least-squares fit on [r_max / 2, r_max], which removes the
     leading truncation error of simply reading off h(r_max).
     """
-    if r_max < 20.0:
-        raise GridError("truncation radius must be at least 20")
+    if r_max < MIN_TRUNCATION_RADIUS:
+        raise GridError(
+            f"truncation radius must be at least {MIN_TRUNCATION_RADIUS:g}")
     grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
     if abs(grid.r_max - r_max) > 1e-9:
         raise GridError("grid does not end at the requested truncation radius")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 import csv
 import json
 import pathlib
@@ -282,20 +283,24 @@ def ball_average(fn, center, radius: float, n_radial: int = 24,
 
 
 def save_field_csv(field: MapField, path) -> None:
+    """One row ``r, theta, phi, u0, ..`` per node, r slowest and phi fastest,
+    every float written as ``%.17g`` (round-trip exact); grid sidecar JSON.
+
+    Each coordinate is formatted once and the body is written by a single
+    ``%`` over all rows.
+    """
     path = pathlib.Path(path)
+    m = field.m
+    r, theta, phi = (["%.17g" % v for v in a.tolist()] for a in
+                     (field.radial.nodes, field.sphere.theta, field.sphere.phi))
+    prefixes = [f"{a},{b},{c}" for a in r for b in theta for c in phi]
+    columns = field.values.reshape(-1, m).T.tolist()
+    line = "%s" + ",%.17g" * m + "\n"
+    header = ",".join(["r", "theta", "phi"] + [f"u{c}" for c in range(m)])
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["r", "theta", "phi"] + [f"u{c}" for c in range(field.m)]
-        writer.writerow(header)
-        nodes = field.radial.nodes
-        th = field.sphere.theta
-        ph = field.sphere.phi
-        for i in range(field.radial.size):
-            for j in range(field.sphere.n_theta):
-                for k in range(field.sphere.n_phi):
-                    row = [f"{nodes[i]:.17g}", f"{th[j]:.17g}", f"{ph[k]:.17g}"]
-                    row += [f"{v:.17g}" for v in field.values[i, j, k]]
-                    writer.writerow(row)
+        fh.write(header + "\n")
+        fh.write((line * len(prefixes))
+                 % tuple(chain.from_iterable(zip(prefixes, *columns))))
     meta = {
         "kind": "map_field",
         "m": field.m,

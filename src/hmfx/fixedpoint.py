@@ -99,30 +99,33 @@ def caloric_corotational_field(u0: BoundaryMap, radial: RadialGrid,
 
 
 def assemble_Q(U0: MapField, V: MapField, K: float,
-               target: TargetSphere | None = None) -> MapField:
+               target: TargetSphere | None = None, lin=None) -> MapField:
     """Penalty nonlinearity Q(U0, V) of the fixed-point splitting.
 
     Q = -K chi'(d^2(U0)) <u_hat, V> u_hat
         + K chi'(d^2(U0 + V)) (|U0 + V| - 1)(U0 + V)/|U0 + V|,
     with u_hat = U0/|U0|; the first term cancels the linearization kept on
-    the operator side.
+    the operator side.  ``lin`` is that linearization when the caller
+    already holds it (``LinearizedOperator.lin``).
     """
     target = target if target is not None else TargetSphere(m=U0.m)
-    *_, lin = target.cs_linearization(U0.values, K)
+    if lin is None:
+        *_, lin = target.cs_linearization(U0.values, K)
     full = target.cs_force(U0.values + V.values, K)
     return U0.with_values(full - lin(V.values))
 
 
 def assemble_rhs(U0: MapField, V: MapField, K: float,
                  target: TargetSphere | None = None,
-                 extension_defect: MapField | None = None) -> MapField:
+                 extension_defect: MapField | None = None,
+                 lin=None) -> MapField:
     """Q plus the discrete defect -Delta_f U0 of the first approximation.
 
     The continuum heat-kernel approximation is annihilated by the weighted
     Laplacian; its discrete defect is kept on the right-hand side so the
     Picard limit solves the discrete static equation exactly.
     """
-    q = assemble_Q(U0, V, K, target)
+    q = assemble_Q(U0, V, K, target, lin)
     defect = extension_defect if extension_defect is not None \
         else weighted_laplacian_field(U0)
     return q.with_values(q.values - defect.values)
@@ -212,7 +215,7 @@ class LinearizedOperator:
             raise GridError("penalty strength K must be positive")
         self.U0 = U0
         target = target if target is not None else TargetSphere(m=U0.m)
-        chi0, uhat, self._lin = target.cs_linearization(U0.values, K)
+        chi0, uhat, self.lin = target.cs_linearization(U0.values, K)
         N, nt, nph, m = self._shape = U0.values.shape
         self.n_unknown = m + (N - 2) * nt * nph * m
         self.iterations: list[int] = []  # GMRES iterations per solve
@@ -263,7 +266,7 @@ class LinearizedOperator:
     def apply(self, field: MapField) -> MapField:
         """Forward product A field (the outer shell row is not meaningful)."""
         lap = weighted_laplacian_field(field)
-        return field.with_values(lap.values - self._lin(field.values))
+        return field.with_values(lap.values - self.lin(field.values))
 
 
 def solve_linear_dirichlet(Q: MapField, op: LinearizedOperator
@@ -330,7 +333,8 @@ def picard_iterate(U0: MapField, K: float, sigma: float = 0.0,
     bad = 0
     converged = False
     for _ in range(max_iters):
-        rhs = assemble_rhs(U0, V, K, target, extension_defect=defect)
+        rhs = assemble_rhs(U0, V, K, target, extension_defect=defect,
+                           lin=op.lin)
         W, b = solve_linear_dirichlet(rhs, op)
         barrier = max(barrier, b)
         diff = x_norm(U0.with_values(W.values - V.values))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmfx.boundary import (builtin_boundary, constant_map, corotational_map,
-                           equator_map, from_sphere_samples,
+from hmfx.boundary import (_unit, builtin_boundary, constant_map,
+                           corotational_map, equator_map, from_sphere_samples,
                            identity_sphere_map, lipschitz_wedge_map,
                            load_boundary_csv)
 from hmfx.errors import ConfigError, GridError
@@ -65,6 +65,40 @@ class TestBuiltins:
         d_above = (above - at) / eps
         d_below = (at - below) / eps
         assert np.linalg.norm(d_above - d_below) > 1.0
+
+    def test_wedge_closed_form_matches_the_fold_angle(self):
+        # the definition by the fold g = min(theta, pi - theta) in spherical
+        # coordinates, which the closed form (x, y, |z|) replaced
+        def trig_wedge(dirs):
+            w = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+            theta = np.arccos(np.clip(w[..., 2], -1.0, 1.0))
+            phi = np.arctan2(w[..., 1], w[..., 0])
+            g = np.minimum(theta, np.pi - theta)
+            return np.stack([np.sin(g) * np.cos(phi), np.sin(g) * np.sin(phi),
+                             np.cos(g)], axis=-1)
+
+        rng = np.random.default_rng(3)
+        # arccos loses about eps / sin(theta) next to the poles, so the
+        # random directions stay off them and the poles are checked exactly
+        z = rng.uniform(-0.99, 0.99, 500)
+        psi = rng.uniform(0.0, 2.0 * np.pi, 500)
+        ring = np.sqrt(1.0 - z * z)
+        dirs = np.stack([ring * np.cos(psi), ring * np.sin(psi), z], axis=-1)
+        dirs *= rng.uniform(0.01, 100.0, (500, 1))  # not unit
+        special = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 5.0],
+                            [0.0, 0.0, -0.2], [1.0, 0.0, 0.0], [0.0, -3.0, 0.0],
+                            [0.6, 0.8, 0.0], [-2.0, 2.0, 0.0]])
+        dirs = np.concatenate([dirs, special]).reshape(-1, 4, 3)
+        u0 = lipschitz_wedge_map()
+        np.testing.assert_allclose(u0(dirs), trig_wedge(dirs), rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(u0(special[:4]), [[0.0, 0.0, 1.0]] * 4)
+
+    def test_unit_is_bitwise_the_linalg_norm_form(self):
+        rng = np.random.default_rng(4)
+        dirs = rng.standard_normal((64, 8, 3)) * 10.0 ** rng.integers(-5, 6, (64, 8, 1))
+        dirs[0, 0] = 0.0  # a zero vector stays zero
+        r = np.linalg.norm(dirs, axis=-1, keepdims=True)
+        assert np.array_equal(_unit(dirs), dirs / np.where(r > 0, r, 1.0))
 
 
 class TestResolverAndCsv:

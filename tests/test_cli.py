@@ -73,6 +73,68 @@ class TestExitCodes:
         assert summary["status"] == "config-error"
         assert key in summary["error"]
 
+    @pytest.mark.parametrize("args, key", [
+        (("solve-corot", "--set", "run.h_inf=0.1", "--set", "tol.shoot=-1"),
+         "tol.shoot"),
+        (("solve-corot", "--set", "run.h_inf=0.1", "--set", "tol.shoot=0"),
+         "tol.shoot"),
+        (("solve-corot", "--set", "run.h_inf=0.1", "--set", "grid.r_max=10"),
+         "grid.r_max"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "tol.newton=-1e-9"),
+         "tol.newton"),
+        (("fixed-point", "--set", "tol.picard=-1"), "tol.picard"),
+        (("fixed-point", "--set", "grid.fp_n_theta=7"), "grid.fp_n_theta"),
+        (("fixed-point", "--set", "grid.fp_n_phi=17"), "grid.fp_n_phi"),
+        (("fixed-point", "--set", "grid.fp_r_max=-16"), "grid.fp_r_max"),
+        (("fixed-point", "--set", "grid.fp_inner_spacing=0"),
+         "grid.fp_inner_spacing"),
+        (("sweep", "--set", "run.sweep_command=solve-corot",
+          "--set", "run.h_inf=0.1", "--set", "grid.r_max=10"), "grid.r_max"),
+        (("sweep", "--set", "run.sweep_command=fixed-point",
+          "--set", "grid.fp_n_theta=7"), "grid.fp_n_theta"),
+    ])
+    def test_bad_shooting_or_grid_value_is_config_error(
+            self, tmp_path, monkeypatch, args, key):
+        def no_solve(*a, **k):
+            raise AssertionError("solved before checking the configuration")
+
+        for name in ("solve_corot", "solve_gl_corot"):
+            monkeypatch.setattr(cli, name, no_solve)
+        for name in ("caloric_corotational_field", "picard_iterate"):
+            monkeypatch.setattr(fixedpoint, name, no_solve)
+        code, _, summary = run(tmp_path, *args)
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert key in summary["error"]
+
+    def test_nonpositive_gl_penalty_in_asymptotics_is_config_error(self, tmp_path):
+        code, _, summary = run(tmp_path, "asymptotics", "--set", "run.flavor=gl",
+                               "--set", "run.K=0")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "run.K must be positive" in summary["error"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("caloric.radii", ""),
+        ("caloric.radii", "0,12,33"),
+        ("caloric.radii", "-4,12,33"),
+        ("caloric.radii", "4,nan"),
+        ("caloric.times", "0"),
+        ("caloric.times", "1,-0.25"),
+    ])
+    def test_bad_caloric_values_are_config_errors(self, tmp_path, monkeypatch,
+                                                  key, value):
+        def no_quadrature(*a, **k):
+            raise AssertionError("caloric ran a quadrature before checking its values")
+
+        monkeypatch.setattr(cli.weighted.CaloricQuadrature, "extend", no_quadrature)
+        code, _, summary = run(tmp_path, "caloric", "--set",
+                               "run.boundary=lipschitz-wedge", "--set",
+                               f"{key}={value}")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert key in summary["error"]
+
     def test_solver_error_reports_reachable_range(self, tmp_path):
         code, _, summary = run(tmp_path, "solve-corot", "--set",
                                "run.h_inf=3.0")

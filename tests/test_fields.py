@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,3 +98,29 @@ class TestSerialization:
         save_field_csv(fld, tmp_path / "a.csv")
         save_field_csv(fld, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(8, 16), (12, 24)])
+    def test_bytes_match_the_per_row_writer(self, tmp_path, n_theta, n_phi):
+        # the row-by-row csv.writer form the bulk writer replaced
+        def reference(field, path):
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["r", "theta", "phi"]
+                                + [f"u{c}" for c in range(field.m)])
+                for i, r in enumerate(field.radial.nodes):
+                    for j, th in enumerate(field.sphere.theta):
+                        for k, ph in enumerate(field.sphere.phi):
+                            writer.writerow([f"{r:.17g}", f"{th:.17g}", f"{ph:.17g}"]
+                                            + [f"{v:.17g}" for v in field.values[i, j, k]])
+
+        radial, sphere = RadialGrid.graded(16.0, 0.2), SphereGrid(n_theta, n_phi)
+        rng = np.random.default_rng(n_theta)
+        vals = rng.standard_normal((radial.size, n_theta, n_phi, 4))
+        vals[..., 1] *= 10.0 ** rng.integers(-300, 301, vals.shape[:-1])
+        vals[..., 2] = np.round(100.0 * vals[..., 2])  # integer-valued
+        vals[0, 0, 0] = [-0.0, 1e-300, 1e300, -7.0]
+        vals[-1, -1, -1] = [-1e-300, -1e300, 0.0, -0.0]
+        fld = MapField(radial, sphere, vals)
+        save_field_csv(fld, tmp_path / "bulk.csv")
+        reference(fld, tmp_path / "rows.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -199,6 +199,20 @@ class TestPicard:
         assert max(state.contraction_ratios) < 1.0
         assert state.static_residual <= 1e-5 * K
 
+    def test_one_linearization_per_run(self, U0, monkeypatch):
+        # the operator's linearization of the fixed U0 serves every step
+        calls = []
+        linearize = TargetSphere.cs_linearization
+
+        def counted(self, u0, K):
+            calls.append(K)
+            return linearize(self, u0, K)
+
+        monkeypatch.setattr(TargetSphere, "cs_linearization", counted)
+        state = picard_iterate(path_and_field(U0, 0.9), 10.0, sigma=0.9)
+        assert state.converged and len(state.step_norms) > 1
+        assert calls == [10.0]
+
     def test_limit_matches_collocation(self, U0):
         # cross-check the 3-d fixed point against the radial Newton solve
         K = 10.0
