@@ -64,6 +64,12 @@ def _checked_tolerance(cfg: RunConfig, key: str) -> float:
     return cfg.get_tolerance(key)
 
 
+def _truncation_radius(cfg: RunConfig) -> float:
+    """``grid.r_max``, a config error below the shooting minimum."""
+    return _checked_float(cfg, "grid.r_max", lambda r: r >= MIN_TRUNCATION_RADIUS,
+                          f"be at least {MIN_TRUNCATION_RADIUS:g}")
+
+
 def _fp_grids(cfg: RunConfig) -> tuple[RadialGrid, SphereGrid]:
     """The fixed-point product grid; a value its constructor rejects is a
     config error naming the keys."""
@@ -87,8 +93,7 @@ def _fp_grids(cfg: RunConfig) -> tuple[RadialGrid, SphereGrid]:
 def cmd_solve_corot(cfg: RunConfig, out: pathlib.Path) -> dict:
     n = cfg.get_int("run.n")
     h_inf = cfg.get_float("run.h_inf")
-    r_max = _checked_float(cfg, "grid.r_max", lambda r: r >= MIN_TRUNCATION_RADIUS,
-                           f"be at least {MIN_TRUNCATION_RADIUS:g}")
+    r_max = _truncation_radius(cfg)
     result = solve_corot(n, h_inf, r_max=r_max,
                          tol=_checked_tolerance(cfg, "tol.shoot"))
     save_profile_csv(result.profile, out / "profile.csv")
@@ -254,6 +259,7 @@ def _diag_radii(cfg: RunConfig) -> tuple[list[float], list[float]]:
 
 def _resolve_solution(cfg: RunConfig, probes: list[float],
                       mono: list[float]) -> solutions.SelfSimilarSolution:
+    r_max = _truncation_radius(cfg)
     spec = cfg.get_str("run.boundary")
     u0 = builtin_boundary(spec, cfg.get_int("run.n"))
     if spec == "constant":
@@ -269,7 +275,7 @@ def _resolve_solution(cfg: RunConfig, probes: list[float],
     R_max = max(mono[-1], 0.25)
     reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
                 np.sqrt(2.0) * (probes[0] + 2.0))
-    r_max = max(cfg.get_float("grid.r_max"), float(reach))
+    r_max = max(r_max, float(reach))
     result = solve_corot(3, u0.h_inf, r_max=r_max,
                          tol=_checked_tolerance(cfg, "tol.shoot"))
     return solutions.from_shooting(result)

@@ -8,10 +8,13 @@ on |x| and |x - x0|, so they use an axisymmetric rule about the axis
 through 0 and x0: Gauss-Legendre in s = |x - x0| / sqrt(tau) on ten
 kernel radii times Gauss-Legendre in the cosine of the angle to the axis,
 with every slice of one table gathered into a single density call.
-Plain ball integrals use Gauss-Legendre times the band-exact sphere
-rule.  All non-explicit constants of the estimates are
-configured tolerances, not theory: slack 0.05, epsilon_0 = 0.02,
-delta = 0.25, C = 10 by default.
+Plain ball integrals and the Pohozaev slab use Gauss-Legendre times the
+band-exact lat-long sphere rule; the Pohozaev integrand is a scalar of the
+radial profile (P, P', Q, Q') at |x| / sqrt(t), not a product of 3 x m
+gradient tensors, and keeps the lat-long directions because its residual
+is meant to show their O(dtheta^2) error.  All non-explicit constants of
+the estimates are configured tolerances, not theory: slack 0.05,
+epsilon_0 = 0.02, delta = 0.25, C = 10 by default.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (DomainExceededError, HmfxError, SupportError,
                      TimeOrderError, TimeWindowError)
 from .fields import ball_average
-from .grids import SphereGrid
-from .solutions import SelfSimilarSolution
+from .grids import SphereGrid, gauss_legendre
+from .solutions import SelfSimilarSolution, _over_r
 from .target import radial_bump, radial_bump_prime
 
 DEFAULT_SLACK = 0.05
@@ -87,7 +89,7 @@ def _kernel_radial_rule(n_radial: int):
     The measure is (4 pi)^{-3/2} s^2 exp(-s^2/4) ds; the sphere factor
     (total 4 pi) is left to the caller.
     """
-    x_gl, w_gl = leggauss(n_radial)
+    x_gl, w_gl = gauss_legendre(n_radial)
     s = 0.5 * _GAUSS_CUTOFF * (x_gl + 1.0)
     return s, 0.5 * _GAUSS_CUTOFF * w_gl * (4.0 * np.pi) ** (-1.5) * s**2 \
         * np.exp(-s**2 / 4.0)
@@ -134,7 +136,7 @@ def _kernel_slices(sol: SelfSimilarSolution, x0, times, taus,
     if np.any(times <= 0.0):
         raise TimeOrderError("self-similar evaluation needs t > 0")
     s, w_s = _kernel_radial_rule(n_radial)
-    mu, w_mu = leggauss(_MU_NODES)
+    mu, w_mu = gauss_legendre(_MU_NODES)
     a = float(np.linalg.norm(x0))
     rel = np.sqrt(taus)[:, None] * s[None, :]      # |x - x0| per (slice, node)
     cut = radial_bump(rel) ** 2
@@ -203,7 +205,7 @@ def monotonicity_table(sol: SelfSimilarSolution, z0, radii,
         raise TimeWindowError(f"largest radius must stay below {MAX_RADIUS:g} sqrt(t0)")
 
     # slices: Phi at t0 - R^2, then Psi's time nodes on [t0 - 4R^2, t0 - R^2]
-    x_gl, w_gl = leggauss(n_time)
+    x_gl, w_gl = gauss_legendre(n_time)
     r2 = radii * radii
     ts = t0 - r2[:, None] * (2.5 - 1.5 * x_gl[None, :])
     integrals = _kernel_slices(sol, x0, np.concatenate([t0 - r2, ts.ravel()]),
@@ -244,6 +246,19 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
     Both sides are space-time quadratures over the slab [t1, t2] with the
     C^2 radial bump q (plateau inside ``inner``, zero past ``outer``), so
     the support condition holds by construction; grad zeta is closed form.
+    The nodes are ``n_radial`` Gauss-Legendre radii s = |x - c| times the
+    lat-long ``sphere`` directions, and ``n_time`` Gauss-Legendre times.
+
+    The equivariant profile turns the integrand into scalars: with
+    R = |x| / sqrt(t) and a = (x - c) . x / |x|, the radial and tangential
+    gradient squares are alpha = (P'^2 + Q'^2) / t and beta = (P/R)^2 / t,
+    |grad u|^2 = alpha + 2 beta, |D_{x-c} u|^2 = a^2 alpha + (s^2 - a^2)
+    beta and u_t . (zeta . grad u) = -(|x| q a / 2t) alpha.  The geometry
+    is built once; each time slice makes one ``sol.radial`` and one
+    ``sol.energy_density`` call.  The lat-long directions are kept, not
+    the Gauss rule in the cosine of the tables: the residual is the
+    directional rule's O(dtheta^2) error, which a rule exact for this
+    axisymmetric integrand would hide.
     """
     if not (0.0 < t1 < t2):
         raise TimeWindowError("need 0 < t1 < t2 for the time slab")
@@ -252,38 +267,39 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
         raise SupportError("test field support leaves the profile domain")
     sph = sphere if sphere is not None else SphereGrid(16, 32)
 
-    def integrand(pts, t):
-        rel = pts - center
-        r = np.linalg.norm(rel, axis=-1)
-        q = radial_bump(r, inner, outer)
-        dq = radial_bump_prime(r, inner, outer)
-        r_safe = np.where(r > 0, r, 1.0)
-        g = sol.gradient(pts, t)           # (..., 3, m)
-        # self-similarity: u_t = -(x . grad u) / 2t
-        ut = -(pts[..., :, None] * g).sum(axis=-2) / (2.0 * t)
-        e = pointwise_energy(sol, pts, t)
-        zeta = q[..., None] * rel
-        div_zeta = 3.0 * q + dq * r
-        # grad_i zeta_j = q delta_ij + (q'/r) rel_i rel_j
-        gz = (zeta[..., :, None] * g).sum(axis=-2)   # directional derivative
-        lhs = (ut * gz).sum(axis=-1)
-        lie = q * (g * g).sum(axis=(-2, -1)) \
-            + (dq / r_safe) * ((rel[..., :, None] * g).sum(axis=-2) ** 2).sum(axis=-1)
-        rhs = e * div_zeta - lie
-        scale = np.abs(lhs) + np.abs(e * div_zeta) + np.abs(lie)
-        return lhs, rhs, scale
+    # node geometry, the same at every time: x = c + s omega, r = |x|
+    x_gl, w_gl = gauss_legendre(n_radial)
+    s = (0.5 * outer * (x_gl + 1.0))[:, None]
+    w = ((0.5 * outer * w_gl)[:, None] * s**2 * sph.weights.reshape(1, -1)).ravel()
+    dirs = sph.directions.reshape(-1, 3)
+    x = center + s[:, :, None] * dirs[None, :, :]
+    r = np.linalg.norm(x, axis=-1)
+    # a = x . (x - c) / |x| with x - c = s * direction, zero at the origin
+    a = s * (x * dirs[None]).sum(axis=-1) / np.where(r > 0, r, 1.0)
+    q = radial_bump(s, inner, outer)
+    k = radial_bump_prime(s, inner, outer) / s   # q'(s) / s
+    div_zeta = 3.0 * q + k * s * s
+    lhs_coef = -0.5 * r * q * a                  # lhs = lhs_coef alpha / t
+    coef_alpha = q + k * a * a                   # lie = coef_alpha alpha
+    coef_beta = 2.0 * q + k * (s * s - a * a)    #     + coef_beta beta
 
-    x_gl, w_gl = leggauss(n_time)
-    ts = 0.5 * (t2 - t1) * (x_gl + 1.0) + t1
-    wt = 0.5 * (t2 - t1) * w_gl
-    vol = 4.0 / 3.0 * np.pi * outer**3
-    lhs_total = rhs_total = scale_total = 0.0
-    for t, w in zip(ts, wt):
-        avg = ball_average(lambda p: np.stack(integrand(p, t), axis=-1), center,
-                           outer, n_radial=n_radial, sphere=sph)
-        lhs_total += w * vol * avg[0]
-        rhs_total += w * vol * avg[1]
-        scale_total += w * vol * avg[2]
+    x_t, w_t = gauss_legendre(n_time)
+    ts = 0.5 * (t2 - t1) * (x_t + 1.0) + t1
+    wt = 0.5 * (t2 - t1) * w_t
+    totals = np.zeros(3)
+    for t, wk in zip(ts, wt):
+        R = r / np.sqrt(t)
+        sol.check_radii(R)
+        P, dP, _, dQ = sol.radial(R)
+        alpha = (dP * dP + dQ * dQ) / t
+        beta = _over_r(P, dP, R) ** 2 / t
+        e_div = np.asarray(sol.energy_density(R), dtype=float) / t * div_zeta
+        lhs = lhs_coef * alpha / t
+        lie = coef_alpha * alpha + coef_beta * beta
+        vals = np.stack([lhs, e_div - lie,
+                         np.abs(lhs) + np.abs(e_div) + np.abs(lie)])
+        totals += wk * (vals.reshape(3, -1) @ w)
+    lhs_total, rhs_total, scale_total = totals
     resid = abs(lhs_total - rhs_total) / (scale_total + eps)
     return PohozaevReport(float(lhs_total), float(rhs_total), float(scale_total),
                           float(resid), center, (t1, t2))
@@ -315,7 +331,7 @@ def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
     if not (0.0 < R < 0.5):
         raise TimeWindowError("scan radius must lie in (0, 1/2)")
     t0 = 1.0
-    x_gl, w_gl = leggauss(6)
+    x_gl, w_gl = gauss_legendre(6)
     out = []
     for x0 in probes:
         x0 = np.asarray(x0, dtype=float)
@@ -473,7 +489,7 @@ def annulus_energies(sol: SelfSimilarSolution, radii, t: float = 1.0,
                      n_sphere: SphereGrid | None = None) -> np.ndarray:
     """Mean of e_K over the annulus [R, 2R] per ladder radius R."""
     sph = n_sphere if n_sphere is not None else SphereGrid(16, 32)
-    x_gl, w_gl = leggauss(24)
+    x_gl, w_gl = gauss_legendre(24)
     out = np.empty(len(radii))
     dirs = sph.directions.reshape(-1, 3)
     w_dir = sph.weights.reshape(-1)

@@ -18,10 +18,9 @@ import json
 import pathlib
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainExceededError, GridError, HmfxError
-from .grids import RadialGrid, SphereGrid
+from .grids import RadialGrid, SphereGrid, gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def ball_average(fn, center, radius: float, n_radial: int = 24,
         raise DomainExceededError("ball radius must be positive")
     sph = sphere if sphere is not None else SphereGrid(16, 32)
     center = np.asarray(center, dtype=float)
-    x_gl, w_gl = leggauss(n_radial)
+    x_gl, w_gl = gauss_legendre(n_radial)
     rho = 0.5 * radius * (x_gl + 1.0)
     w_rho = 0.5 * radius * w_gl * rho**2
     dirs = sph.directions.reshape(-1, 3)

@@ -4,19 +4,31 @@ The radial grid is uniform on [0, 1] and geometrically stretched beyond,
 with the adjacent spacing ratio kept in [1, 1.2] so far-field windows out
 to r ~ 100 stay affordable.  The sphere grid is a cell-centered
 latitude-longitude mesh on S^2 whose band weights integrate the area
-element exactly (quadrature of 1 gives 4*pi to rounding).
+element exactly (quadrature of 1 gives 4*pi to rounding).  Gauss-Legendre
+rules are computed once per node count and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import GridError
 
 MAX_SPACING_RATIO = 1.2
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``leggauss(n)`` nodes and weights on [-1, 1], cached per n
+    (each ``leggauss`` call solves an eigenproblem)."""
+    x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _graded_nodes(r_max: float, inner_spacing: float, max_ratio: float) -> np.ndarray:

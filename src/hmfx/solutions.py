@@ -4,8 +4,9 @@ A self-similar solution is determined by its profile U at time 1 through
 u(x, t) = U(x / sqrt(t)); the wrappers expose U, its spatial gradient and
 the induced time derivative at arbitrary points, so every diagnostic can
 quadrature against smooth callables instead of grid samples.  Every
-wrapped profile is equivariant, so its gradient is closed form and its
-energy density is a function e(r) of the radius alone.
+wrapped profile is equivariant, so its gradient is closed form, its
+energy density is a function e(r) of the radius alone, and the radial
+profile (P, P', Q, Q') behind both is exposed for scalar integrands.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ class SelfSimilarSolution:
     ``profile_fn(points) -> (..., m)`` and ``profile_gradient_fn(points) ->
     (..., 3, m)`` evaluate U and its Cartesian gradient;
     ``energy_density(r)`` is the radial energy density e(r) of U, penalty
-    included; ``flavor`` names that penalty ('hm' for exactly
-    sphere-valued maps, 'gl' for the quartic one with strength K).
+    included; ``radial(r) -> (P, P', Q, Q')`` is the equivariant profile
+    behind both, U(y) = (P(|y|) y/|y|, Q(|y|)); ``flavor`` names the
+    penalty ('hm' for exactly sphere-valued maps, 'gl' for the quartic one
+    with strength K).
     """
 
     name: str
@@ -35,6 +38,7 @@ class SelfSimilarSolution:
     profile_fn: object
     profile_gradient_fn: object
     energy_density: object
+    radial: object
     K: float | None = None
     domain_radius: float = np.inf
     boundary_gradient_sq: object = None  # |grad u_0|^2(x) of the boundary data
@@ -153,7 +157,7 @@ def from_angle(angle, name: str = "equivariant",
 
     fn, grad_fn = _equivariant_fns(radial, 4)
     bgrad = None if boundary_angle is None else _conical_gradient_sq(boundary_angle)
-    return SelfSimilarSolution(name, 4, "hm", fn, grad_fn, density,
+    return SelfSimilarSolution(name, 4, "hm", fn, grad_fn, density, radial,
                                boundary_gradient_sq=bgrad)
 
 
@@ -188,7 +192,11 @@ def constant_solution(m: int = 4) -> SelfSimilarSolution:
     def density(r):
         return np.zeros(np.shape(r))
 
-    return SelfSimilarSolution("constant", m, "hm", fn, grad_fn, density,
+    def radial(r):
+        zero = np.zeros(np.shape(r))
+        return zero, zero, np.ones(np.shape(r)), zero
+
+    return SelfSimilarSolution("constant", m, "hm", fn, grad_fn, density, radial,
                                boundary_gradient_sq=lambda p: np.zeros(
                                    np.asarray(p, dtype=float).shape[:-1]))
 
@@ -220,5 +228,5 @@ def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSo
     fn, grad_fn = _equivariant_fns(radial, 4)
     h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
     return SelfSimilarSolution(name or f"gl(K={K:g})", 4, "gl", fn, grad_fn,
-                               density, K=K, domain_radius=grid.r_max,
+                               density, radial, K=K, domain_radius=grid.r_max,
                                boundary_gradient_sq=_conical_gradient_sq(h_inf))

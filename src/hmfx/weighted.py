@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc
 
 from .boundary import BoundaryMap
 from .errors import AccuracyError, GridError, TimeOrderError
 from .fields import MapField
-from .grids import RadialGrid, SphereGrid
+from .grids import RadialGrid, SphereGrid, gauss_legendre
 
 
 def potential(x, n: int = 3):
@@ -157,7 +156,7 @@ class CapRule:
 
     @cached_property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
-        x, w = leggauss(self.n_theta)
+        x, w = gauss_legendre(self.n_theta)
         return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
 
     @cached_property

@@ -293,6 +293,25 @@ class TestDiagnose:
         assert summary["status"] == "config-error"
         assert key in summary["error"]
 
+    @pytest.mark.parametrize("radii", [
+        (),
+        ("--set", "diag.probe_radii=0.5", "--set", "diag.mono_radii=0.05"),
+    ])
+    def test_short_truncation_radius_is_config_error(self, tmp_path, monkeypatch,
+                                                     radii):
+        # small probes used to shoot to 10 and fail; the defaults silently
+        # raised it to the probes' reach
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagnose solved before checking grid.r_max")
+
+        monkeypatch.setattr(cli, "solve_corot", no_solve)
+        code, _, summary = run(tmp_path, "diagnose",
+                               "--set", "run.boundary=corotational(0.2)",
+                               "--set", "grid.r_max=10", *radii)
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "grid.r_max" in summary["error"]
+
 
 class TestDeterminism:
     def test_profile_csv_byte_identical(self, tmp_path):

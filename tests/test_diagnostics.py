@@ -11,10 +11,11 @@ from hmfx.diagnostics import (annulus_energies, bochner_check,
                               gaussian_integral, local_energy,
                               monotonicity_table, pointwise_energy,
                               pohozaev_residual, shi_bound_check)
+from hmfx.fields import ball_average
 from hmfx.grids import SphereGrid
-from hmfx.solutions import (constant_solution, equator_solution,
-                            from_gl_profile, from_shooting)
-from hmfx.target import radial_bump
+from hmfx.solutions import (SelfSimilarSolution, constant_solution,
+                            equator_solution, from_gl_profile, from_shooting)
+from hmfx.target import radial_bump, radial_bump_prime
 
 MONO_RADII = np.linspace(0.05, 0.45, 9)
 
@@ -160,7 +161,64 @@ class TestMonotonicity:
                                [0.9])
 
 
+def _tensor_pohozaev(sol, center, t1=0.5, t2=1.0, inner=1.0, outer=2.0,
+                     n_time=8, n_radial=32):
+    """(lhs, rhs, scale) from the 3 x m gradient tensors under ball_average."""
+    def integrand(pts, t):
+        rel = pts - center
+        r = np.linalg.norm(rel, axis=-1)
+        q = radial_bump(r, inner, outer)
+        dq = radial_bump_prime(r, inner, outer)
+        g = sol.gradient(pts, t)
+        ut = -(pts[..., :, None] * g).sum(axis=-2) / (2.0 * t)
+        d_rel = (rel[..., :, None] * g).sum(axis=-2)
+        lhs = (ut * q[..., None] * d_rel).sum(axis=-1)
+        lie = q * (g * g).sum(axis=(-2, -1)) + (dq / r) * (d_rel**2).sum(axis=-1)
+        e_div = pointwise_energy(sol, pts, t) * (3.0 * q + dq * r)
+        return np.stack([lhs, e_div - lie,
+                         np.abs(lhs) + np.abs(e_div) + np.abs(lie)], axis=-1)
+
+    x_gl, w_gl = leggauss(n_time)
+    ts = 0.5 * (t2 - t1) * (x_gl + 1.0) + t1
+    vol = 4.0 / 3.0 * np.pi * outer**3
+    return sum(0.5 * (t2 - t1) * w * vol
+               * ball_average(lambda p: integrand(p, t), center, outer,
+                              n_radial=n_radial, sphere=SphereGrid(16, 32))
+               for t, w in zip(ts, w_gl))
+
+
 class TestPohozaev:
+    @pytest.mark.parametrize("rho", [5.0, 10.0])
+    @pytest.mark.parametrize("name", ["equator", "corot", "gl", "constant"])
+    def test_radial_integrand_matches_gradient_tensors(self, name, rho, request):
+        sol = constant_solution() if name == "constant" \
+            else request.getfixturevalue(name)
+        center = np.array([rho, 0.0, 0.0])
+        rep = pohozaev_residual(sol, center)
+        lhs, rhs, scale = _tensor_pohozaev(sol, center)
+        np.testing.assert_allclose([rep.rhs, rep.scale], [rhs, scale],
+                                   rtol=1e-10, atol=0.0)
+        assert abs(rep.lhs - lhs) <= 1e-12 * scale
+
+    def test_one_profile_evaluation_per_slice(self, corot, monkeypatch):
+        counts = {"radial": 0, "energy_density": 0, "gradient": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SelfSimilarSolution, "gradient",
+                            counted("gradient", SelfSimilarSolution.gradient))
+        sol = dataclasses.replace(
+            corot, radial=counted("radial", corot.radial),
+            energy_density=counted("energy_density", corot.energy_density))
+        pohozaev_residual(sol, np.array([5.0, 0.0, 0.0]), n_time=5)
+        assert counts["radial"] <= 5
+        assert counts["energy_density"] <= 5
+        assert counts["gradient"] == 0
+
     def test_equator_residual_small(self, equator):
         rep = pohozaev_residual(equator, np.array([5.0, 0.0, 0.0]))
         assert rep.residual < 1e-2

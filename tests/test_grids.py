@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmfx.errors import GridError
-from hmfx.grids import MAX_SPACING_RATIO, RadialGrid, SphereGrid
+from numpy.polynomial.legendre import leggauss
+
+from hmfx.grids import MAX_SPACING_RATIO, RadialGrid, SphereGrid, gauss_legendre
 
 
 class TestRadialGrid:
@@ -69,3 +71,14 @@ class TestSphereGrid:
             for nt in (8, 16, 32)]
         assert errs[0] < 1e-2
         assert errs[2] < errs[0]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [6, 16, 32])
+    def test_cached_rule_is_leggauss_read_only(self, n):
+        x, w = gauss_legendre(n)
+        x_ref, w_ref = leggauss(n)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        assert gauss_legendre(n)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
