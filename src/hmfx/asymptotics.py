@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryMap
-from .errors import GridError, HmfxError, WindowError
+from .errors import GridError, HmfxError
 from .fields import _pole_extended, _spectral_derivative, sphere_partials
 from .grids import SphereGrid
 
 MAX_ORDER = 4
-FIT_CONDITION_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -273,61 +272,6 @@ def series_ode_residual(series: AsymptoticSeries, radii) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# far-field fits
-
-
-@dataclass(frozen=True)
-class FarfieldFit:
-    """Least-squares expansion of a deviation in the even-power basis."""
-
-    coefficients: np.ndarray  # (k, ...) coefficient of r^{-2j}, j = 1..k
-    order: int
-    condition_number: float
-    residual_sup: float
-    residual_slope: float | None
-    window: tuple[float, float]
-
-
-def _loglog_slope(r: np.ndarray, values: np.ndarray,
-                  floor: float = 1e-14) -> float | None:
-    mask = values > floor
-    if mask.sum() < 3:
-        return None
-    return float(np.polyfit(np.log(r[mask]), np.log(values[mask]), 1)[0])
-
-
-def farfield_fit(radii: np.ndarray, deviations: np.ndarray, k: int) -> FarfieldFit:
-    """Fit deviation samples against {r^-2, r^-4, ..., r^-2k}.
-
-    ``deviations`` has the radius as its leading axis; trailing axes
-    (sphere nodes, components) are fitted independently.  The fit window
-    must span at least one decade and stay well conditioned.
-    """
-    _check_order(k)
-    r = np.asarray(radii, dtype=float)
-    dev = np.asarray(deviations, dtype=float)
-    if r.ndim != 1 or dev.shape[0] != r.size:
-        raise GridError("deviation samples do not match the radii")
-    if r.size < k + 2:
-        raise WindowError("too few radii for the requested order")
-    if r.max() / r.min() < 10.0 * (1.0 - 1e-12):
-        raise WindowError("fit window must span at least one decade of radii")
-    basis = np.stack([r**(-2.0 * j) for j in range(1, k + 1)], axis=1)
-    cond = float(np.linalg.cond(basis))
-    if cond > FIT_CONDITION_LIMIT:
-        raise WindowError(
-            f"far-field fit ill conditioned (condition number {cond:.3e})")
-    flat = dev.reshape(r.size, -1)
-    coef, *_ = np.linalg.lstsq(basis, flat, rcond=None)
-    resid = flat - basis @ coef
-    resid_sup_r = np.abs(resid).max(axis=1)
-    slope = _loglog_slope(r, resid_sup_r)
-    return FarfieldFit(coef.reshape((k,) + dev.shape[1:]), k, cond,
-                       float(resid_sup_r.max()), slope,
-                       (float(r.min()), float(r.max())))
-
-
-# ---------------------------------------------------------------------------
 # sup deviation with kink-aware direction refinement
 
 
@@ -339,8 +283,7 @@ def _tangent_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(d, e1)
 
 
-def sup_deviation(evaluate, reference, radii, base_sphere: SphereGrid | None = None,
-                  refine: bool = True) -> np.ndarray:
+def sup_deviation(evaluate, reference, radii) -> np.ndarray:
     """sup over directions of |U(r w) - u_0(w)| at each radius.
 
     ``evaluate`` maps Cartesian points (..., 3) to (..., m); ``reference``
@@ -349,7 +292,7 @@ def sup_deviation(evaluate, reference, radii, base_sphere: SphereGrid | None = N
     1/r, so each radius refines with a local direction cluster of that
     width around the running argmax (two shrinking passes).
     """
-    sph = base_sphere if base_sphere is not None else SphereGrid(16, 32)
+    sph = SphereGrid(16, 32)
     radii = np.asarray(radii, dtype=float)
     order = np.argsort(radii)
     dirs = sph.directions.reshape(-1, 3)
@@ -360,30 +303,29 @@ def sup_deviation(evaluate, reference, radii, base_sphere: SphereGrid | None = N
         dev = np.linalg.norm(evaluate(r * dirs) - reference(dirs), axis=-1)
         best = float(dev.max())
         center = dirs[int(dev.argmax())]
-        if refine:
-            # seed from both the coarse argmax and the previous radius's
-            # peak: a kink peak narrows like 1/r and slips between coarse
-            # latitudes at large r, but barely moves in direction
-            seeds = [center] if prev_center is None else [center, prev_center]
-            for seed in seeds:
-                local_best, local_center = best, seed
-                width = min(4.0 / r, 0.5)
-                for _ in range(3):
-                    e1, e2 = _tangent_frame(local_center)
-                    s = np.linspace(-width, width, 9)
-                    offs = (local_center[None, None, :]
-                            + s[:, None, None] * e1 + s[None, :, None] * e2)
-                    local = offs.reshape(-1, 3)
-                    local /= np.linalg.norm(local, axis=1, keepdims=True)
-                    dev_l = np.linalg.norm(evaluate(r * local) - reference(local),
-                                           axis=-1)
-                    if dev_l.max() > local_best:
-                        local_best = float(dev_l.max())
-                        local_center = local[int(dev_l.argmax())]
-                    width /= 4.0
-                if local_best > best:
-                    best, center = local_best, local_center
-            prev_center = center
+        # seed from both the coarse argmax and the previous radius's
+        # peak: a kink peak narrows like 1/r and slips between coarse
+        # latitudes at large r, but barely moves in direction
+        seeds = [center] if prev_center is None else [center, prev_center]
+        for seed in seeds:
+            local_best, local_center = best, seed
+            width = min(4.0 / r, 0.5)
+            for _ in range(3):
+                e1, e2 = _tangent_frame(local_center)
+                s = np.linspace(-width, width, 9)
+                offs = (local_center[None, None, :]
+                        + s[:, None, None] * e1 + s[None, :, None] * e2)
+                local = offs.reshape(-1, 3)
+                local /= np.linalg.norm(local, axis=1, keepdims=True)
+                dev_l = np.linalg.norm(evaluate(r * local) - reference(local),
+                                       axis=-1)
+                if dev_l.max() > local_best:
+                    local_best = float(dev_l.max())
+                    local_center = local[int(dev_l.argmax())]
+                width /= 4.0
+            if local_best > best:
+                best, center = local_best, local_center
+        prev_center = center
         out[idx] = best
     return out
 
@@ -398,6 +340,14 @@ class RateClassification:
     slope: float | None
     max_deviation: float
     diagnostics: dict
+
+
+def _loglog_slope(r: np.ndarray, values: np.ndarray,
+                  floor: float = 1e-14) -> float | None:
+    mask = values > floor
+    if mask.sum() < 3:
+        return None
+    return float(np.polyfit(np.log(r[mask]), np.log(values[mask]), 1)[0])
 
 
 SUPER_POLY_THRESHOLD = 1e-8

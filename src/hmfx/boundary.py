@@ -1,4 +1,4 @@
-"""Built-in 0-homogeneous boundary maps and CSV ingestion.
+"""Built-in 0-homogeneous boundary maps and their resolver.
 
 A boundary map is determined by its restriction to the unit sphere; the
 built-ins cover the smooth, Lipschitz and exactly-harmonic cases used by
@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError, GridError
+from .errors import ConfigError
 from .grids import SphereGrid
 
 
@@ -103,49 +103,6 @@ def lipschitz_wedge_map() -> BoundaryMap:
 
     return BoundaryMap("lipschitz-wedge", 3, fn, smoothness="lipschitz",
                        target_point=np.array([0.0, 0.0, 1.0]))
-
-
-def from_sphere_samples(samples: np.ndarray, sphere: SphereGrid,
-                        name: str = "csv") -> BoundaryMap:
-    """Boundary map interpolated bilinearly from samples on a sphere grid."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[:2] != (sphere.n_theta, sphere.n_phi):
-        raise GridError("boundary samples do not match the sphere grid")
-    m = samples.shape[-1]
-    north, south = sphere.pole_values(samples)
-    vals = np.concatenate([north[None, None].repeat(sphere.n_phi, axis=1),
-                           samples,
-                           south[None, None].repeat(sphere.n_phi, axis=1)], axis=0)
-    theta_aug = np.concatenate([[0.0], sphere.theta, [np.pi]])
-
-    def fn(dirs):
-        w = _unit(dirs)
-        shape = w.shape[:-1]
-        flat = w.reshape(-1, 3)
-        theta = np.arccos(np.clip(flat[:, 2], -1.0, 1.0))
-        phi = np.mod(np.arctan2(flat[:, 1], flat[:, 0]), 2.0 * np.pi)
-        j1 = np.clip(np.searchsorted(theta_aug, theta), 1, theta_aug.size - 1)
-        j0 = j1 - 1
-        tt = (theta - theta_aug[j0]) / (theta_aug[j1] - theta_aug[j0])
-        kf = phi / sphere.d_phi
-        k0 = np.floor(kf).astype(int) % sphere.n_phi
-        k1 = (k0 + 1) % sphere.n_phi
-        tp = kf - np.floor(kf)
-        out = ((1 - tt) * (1 - tp))[:, None] * vals[j0, k0] \
-            + ((1 - tt) * tp)[:, None] * vals[j0, k1] \
-            + (tt * (1 - tp))[:, None] * vals[j1, k0] \
-            + (tt * tp)[:, None] * vals[j1, k1]
-        return out.reshape(*shape, m)
-
-    return BoundaryMap(name, m, fn, smoothness="lipschitz")
-
-
-def load_boundary_csv(path, sphere: SphereGrid) -> BoundaryMap:
-    """Rows theta, phi, components; nodes must enumerate the sphere grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    m = data.shape[1] - 2
-    vals = data[:, 2:].reshape(sphere.n_theta, sphere.n_phi, m)
-    return from_sphere_samples(vals, sphere, name=str(path))
 
 
 _COROT_RE = re.compile(r"^corotational\(([^)]+)\)$")

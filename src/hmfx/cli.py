@@ -70,6 +70,14 @@ def _truncation_radius(cfg: RunConfig) -> float:
                           f"be at least {MIN_TRUNCATION_RADIUS:g}")
 
 
+def _three_dimensional(cfg: RunConfig, command: str) -> int:
+    """``run.n``, a config error unless 3: ``command`` works in R^3 only."""
+    n = cfg.get_int("run.n")
+    if n != 3:
+        raise ConfigError(f"run.n must be 3 for {command}, got {n}")
+    return n
+
+
 def _fp_grids(cfg: RunConfig) -> tuple[RadialGrid, SphereGrid]:
     """The fixed-point product grid; a value its constructor rejects is a
     config error naming the keys."""
@@ -122,12 +130,13 @@ def cmd_solve_gl(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 
 def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
+    n = _three_dimensional(cfg, "fixed-point")
     sigma = _checked_float(cfg, "run.sigma", lambda s: 0.0 <= s <= 1.0,
                            "lie in [0, 1]")
     K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
     tol = _checked_tolerance(cfg, "tol.picard")
     radial, sphere = _fp_grids(cfg)
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
+    u0 = builtin_boundary(cfg.get_str("run.boundary"), n)
     path = fixedpoint.path_map(u0, sigma)
     if path.is_corotational and path.m == 4:
         U0 = fixedpoint.caloric_corotational_field(path, radial, sphere)
@@ -173,8 +182,9 @@ def _caloric_values(cfg: RunConfig) -> tuple[np.ndarray, list[float]]:
 
 
 def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
+    n = _three_dimensional(cfg, "caloric")
     radii, times = _caloric_values(cfg)
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
+    u0 = builtin_boundary(cfg.get_str("run.boundary"), n)
     quad = weighted.CaloricQuadrature()
     sup_u0 = float(np.linalg.norm(u0.sphere_samples(SphereGrid(24, 48)),
                                   axis=-1).max())
@@ -207,14 +217,18 @@ def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 
 def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), cfg.get_int("run.n"))
+    n = cfg.get_int("run.n")
+    u0 = builtin_boundary(cfg.get_str("run.boundary"), n)
+    if not u0.is_corotational:
+        # the sphere-grid recursion samples S^2; only the scalar route takes any n
+        _three_dimensional(cfg, "asymptotics on non-corotational data")
     k = cfg.get_int("run.k_order")
     flavor = cfg.get_str("run.flavor")
     if flavor == "hmf":
-        series = asymptotics.hmf_coefficients(u0, k, n=cfg.get_int("run.n"))
+        series = asymptotics.hmf_coefficients(u0, k, n=n)
     elif flavor == "gl":
         K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
-        series = asymptotics.gl_coefficients(u0, K, k, n=cfg.get_int("run.n"))
+        series = asymptotics.gl_coefficients(u0, K, k, n=n)
     else:
         raise ConfigError(f"unknown series flavor {flavor!r}")
     sups = series.sup_norms()
@@ -261,7 +275,7 @@ def _resolve_solution(cfg: RunConfig, probes: list[float],
                       mono: list[float]) -> solutions.SelfSimilarSolution:
     r_max = _truncation_radius(cfg)
     spec = cfg.get_str("run.boundary")
-    u0 = builtin_boundary(spec, cfg.get_int("run.n"))
+    u0 = builtin_boundary(spec, _three_dimensional(cfg, "diagnose"))
     if spec == "constant":
         return solutions.constant_solution()
     if not u0.is_corotational:

@@ -1,31 +1,36 @@
 """Energies, monotonicity quantities, identity residuals and regularity scans.
 
-Everything evaluates a :class:`SelfSimilarSolution` through its profile at
-time 1 — u(x, t) = U(x / sqrt(t)) — so no time-stepping occurs anywhere.
-The energy density is the profile's radial density, e(x, t) = e(|x| /
-sqrt(t)) / t.  Heat-kernel integrals of the localized density depend only
-on |x| and |x - x0|, so they use an axisymmetric rule about the axis
-through 0 and x0: Gauss-Legendre in s = |x - x0| / sqrt(tau) on ten
-kernel radii times Gauss-Legendre in the cosine of the angle to the axis,
-with every slice of one table gathered into a single density call.
-Plain ball integrals and the Pohozaev slab use Gauss-Legendre times the
-band-exact lat-long sphere rule; the Pohozaev integrand is a scalar of the
-radial profile (P, P', Q, Q') at |x| / sqrt(t), not a product of 3 x m
-gradient tensors, and keeps the lat-long directions because its residual
-is meant to show their O(dtheta^2) error.  All non-explicit constants of
-the estimates are configured tolerances, not theory: slack 0.05,
-epsilon_0 = 0.02, delta = 0.25, C = 10 by default.
+Everything evaluates a :class:`SelfSimilarSolution` through its radial
+profile at time 1 -- u(x, t) = U(x / sqrt(t)) -- so no time-stepping occurs
+anywhere.  The energy density is the profile's radial density, e(x, t) =
+e(|x| / sqrt(t)) / t, and the boundary density sin^2(h_inf) / |x|^2 is a
+function of |x| as well.  Which rule integrates what:
+
+- a radial function over a ball about x0 (local energies, the boundary
+  mass of the tables) or against the heat kernel and cutoff about x0
+  (Phi, Psi, the epsilon-regularity Psi): one axisymmetric rule about the
+  axis through 0 and x0, Gauss-Legendre in s = |x - x0| times
+  Gauss-Legendre in the cosine of the angle to the axis, every slice of
+  one table gathered into a single density call;
+- the Pohozaev slab: Gauss-Legendre in |x - c| times the band-exact
+  lat-long sphere rule, on purpose, because its residual is meant to show
+  the O(dtheta^2) error of those directions; the integrand is a scalar of
+  the radial profile (P, P', Q, Q') at |x| / sqrt(t);
+- ``gaussian_integral``: any function of points against the heat kernel,
+  with the lat-long rule.
+
+All non-explicit constants of the estimates are configured tolerances, not
+theory: slack 0.05, epsilon_0 = 0.02, delta = 0.25, C = 10 by default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainExceededError, HmfxError, SupportError,
                      TimeOrderError, TimeWindowError)
-from .fields import ball_average
 from .grids import SphereGrid, gauss_legendre
 from .solutions import SelfSimilarSolution, _over_r
 from .target import radial_bump, radial_bump_prime
@@ -39,6 +44,39 @@ MAX_RADIUS = 0.5
 
 
 # ---------------------------------------------------------------------------
+# the axisymmetric rule
+
+
+_MU_NODES = 16    # Gauss-Legendre nodes in the cosine to the x0 axis
+_BALL_NODES = 24  # Gauss-Legendre radii of a ball
+_UNIT_BALL = 4.0 / 3.0 * np.pi
+
+
+def _axisymmetric(fn, x0, rel, weights) -> np.ndarray:
+    """Weighted sphere integrals about x0 of a function of |x|.
+
+    Entry i is weights[i] times the integral over unit directions omega of
+    fn(|x0 + rel[i] omega|).  In mu, the cosine of the angle between omega
+    and x0, |x|^2 = |x0|^2 + 2 |x0| rel mu + rel^2, so the rule is
+    Gauss-Legendre in mu; ``fn`` gets every radius in one array of shape
+    (rel.size, mu nodes).
+    """
+    mu, w_mu = gauss_legendre(_MU_NODES)
+    a = float(np.linalg.norm(x0))
+    rel = np.asarray(rel, dtype=float)[:, None]
+    r2 = a * a + 2.0 * a * rel * mu[None, :] + rel * rel
+    vals = np.asarray(fn(np.sqrt(np.maximum(r2, 0.0))), dtype=float)
+    return (vals @ (2.0 * np.pi * w_mu)) * weights
+
+
+def _ball_integral(fn, x0, radius: float) -> float:
+    """Integral of fn(|x|) over B(x0, radius): Gauss-Legendre in |x - x0|."""
+    x_gl, w_gl = gauss_legendre(_BALL_NODES)
+    s = 0.5 * radius * (x_gl + 1.0)
+    return float(_axisymmetric(fn, x0, s, 0.5 * radius * w_gl * s * s).sum())
+
+
+# ---------------------------------------------------------------------------
 # energy densities
 
 
@@ -49,31 +87,24 @@ def pointwise_energy(sol: SelfSimilarSolution, points, t: float = 1.0) -> np.nda
     radial density (penalty (K/4)(1-|u|^2)^2 included for the quartic
     flavor).
     """
-    y = sol.rescale(points, t)
-    return sol.energy_density(np.linalg.norm(y, axis=-1)) / t
+    _, r = sol.rescale(points, t)
+    return sol.energy_density(r) / t
 
 
-def local_energy(sol: SelfSimilarSolution, x0, t: float = 1.0,
-                 n_radial: int = 24, sphere: SphereGrid | None = None) -> float:
+def local_energy(sol: SelfSimilarSolution, x0, t: float = 1.0) -> float:
     """Average of e_K over the unit ball around x0 at time t."""
+    if t <= 0.0:
+        raise TimeOrderError("self-similar evaluation needs t > 0")
     x0 = np.asarray(x0, dtype=float)
     if (np.linalg.norm(x0) + 1.0) / np.sqrt(t) > sol.domain_radius * (1 + 1e-12):
         raise DomainExceededError("probe ball leaves the profile domain at this time")
-    out = ball_average(lambda p: pointwise_energy(sol, p, t)[..., None],
-                       x0, 1.0, n_radial=n_radial, sphere=sphere)
-    return float(out[0])
+    total = _ball_integral(lambda r: sol.energy_density(r / np.sqrt(t)) / t, x0, 1.0)
+    return total / _UNIT_BALL
 
 
-def boundary_local_energy(sol: SelfSimilarSolution, x0,
-                          n_radial: int = 24,
-                          sphere: SphereGrid | None = None) -> float:
+def boundary_local_energy(sol: SelfSimilarSolution, x0) -> float:
     """Average of half the boundary-data gradient square over B(x0, 1)."""
-    if sol.boundary_gradient_sq is None:
-        raise HmfxError("solution carries no boundary gradient information")
-    out = ball_average(
-        lambda p: 0.5 * np.asarray(sol.boundary_gradient_sq(p))[..., None],
-        np.asarray(x0, dtype=float), 1.0, n_radial=n_radial, sphere=sphere)
-    return float(out[0])
+    return _ball_integral(sol.boundary_density, x0, 1.0) / _UNIT_BALL
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +146,14 @@ def gaussian_integral(fn, center, tau: float, n_radial: int = 32,
     return float(np.einsum("i,j,ij->", w_s, w_dir, vals))
 
 
-_MU_NODES = 16  # Gauss-Legendre nodes in the cosine to the x0 axis
-
-
 def _kernel_slices(sol: SelfSimilarSolution, x0, times, taus,
                    n_radial: int = 32) -> np.ndarray:
     """Heat-kernel integrals of e_K(., t) bump(|. - x0|)^2 around x0.
 
     Slice k integrates at time ``times[k]`` against the kernel of variance
-    scale ``taus[k]``.  The integrand depends on |x| and |x - x0| only: in
-    s = |x - x0| / sqrt(tau) and mu, the cosine of the angle between x - x0
-    and x0, |x|^2 = |x0|^2 + 2 |x0| sqrt(tau) s mu + tau s^2.  Radial
-    nodes where the cutoff vanishes are dropped, and the remaining radii
-    of all slices go to one density call.
+    scale ``taus[k]``, on the axisymmetric rule at |x - x0| = sqrt(tau) s.
+    Radial nodes where the cutoff vanishes are dropped, and the remaining
+    radii of all slices go to one density call.
     """
     times = np.asarray(times, dtype=float)
     taus = np.asarray(taus, dtype=float)
@@ -136,17 +162,17 @@ def _kernel_slices(sol: SelfSimilarSolution, x0, times, taus,
     if np.any(times <= 0.0):
         raise TimeOrderError("self-similar evaluation needs t > 0")
     s, w_s = _kernel_radial_rule(n_radial)
-    mu, w_mu = gauss_legendre(_MU_NODES)
-    a = float(np.linalg.norm(x0))
     rel = np.sqrt(taus)[:, None] * s[None, :]      # |x - x0| per (slice, node)
     cut = radial_bump(rel) ** 2
     slice_of, node_of = np.nonzero(cut > 0.0)
-    rel = rel[slice_of, node_of][:, None]
-    r2 = a * a + 2.0 * a * rel * mu[None, :] + rel * rel
-    y = np.sqrt(np.maximum(r2, 0.0)) / np.sqrt(times[slice_of])[:, None]
-    sol.check_radii(y)
-    e = np.asarray(sol.energy_density(y), dtype=float)
-    vals = (e @ (2.0 * np.pi * w_mu)) * w_s[node_of] \
+    root_t = np.sqrt(times[slice_of])[:, None]
+
+    def density(r):
+        y = r / root_t
+        sol.check_radii(y)
+        return sol.energy_density(y)
+
+    vals = _axisymmetric(density, x0, rel[slice_of, node_of], w_s[node_of]) \
         * cut[slice_of, node_of] / times[slice_of]
     return np.bincount(slice_of, weights=vals, minlength=times.size)
 
@@ -187,8 +213,7 @@ def _max_violation(values: np.ndarray) -> float:
 
 
 def monotonicity_table(sol: SelfSimilarSolution, z0, radii,
-                       slack: float = DEFAULT_SLACK,
-                       n_time: int = 8) -> MonotonicityTable:
+                       slack: float = DEFAULT_SLACK) -> MonotonicityTable:
     """Localized weighted energies against the backward heat kernel.
 
     Phi(R) is the space integral at the slice t0 - R^2 weighted by R^2;
@@ -204,8 +229,8 @@ def monotonicity_table(sol: SelfSimilarSolution, z0, radii,
     if radii[-1] >= MAX_RADIUS * np.sqrt(t0):
         raise TimeWindowError(f"largest radius must stay below {MAX_RADIUS:g} sqrt(t0)")
 
-    # slices: Phi at t0 - R^2, then Psi's time nodes on [t0 - 4R^2, t0 - R^2]
-    x_gl, w_gl = gauss_legendre(n_time)
+    # slices: Phi at t0 - R^2, then Psi's 8 time nodes on [t0 - 4R^2, t0 - R^2]
+    x_gl, w_gl = gauss_legendre(8)
     r2 = radii * radii
     ts = t0 - r2[:, None] * (2.5 - 1.5 * x_gl[None, :])
     integrals = _kernel_slices(sol, x0, np.concatenate([t0 - r2, ts.ravel()]),
@@ -213,11 +238,7 @@ def monotonicity_table(sol: SelfSimilarSolution, z0, radii,
     phi = r2 * integrals[:radii.size]
     psi = integrals[radii.size:].reshape(ts.shape) @ w_gl * (1.5 * r2)
 
-    if sol.boundary_gradient_sq is None:
-        raise HmfxError("solution carries no boundary gradient information")
-    vol2 = 4.0 / 3.0 * np.pi * 8.0
-    bmass = vol2 * float(ball_average(
-        lambda p: np.asarray(sol.boundary_gradient_sq(p))[..., None], x0, 2.0)[0])
+    bmass = 2.0 * _ball_integral(sol.boundary_density, x0, 2.0)
     return MonotonicityTable(x0, float(t0), radii, phi, psi, bmass, slack,
                              _max_violation(phi), _max_violation(psi))
 
@@ -254,8 +275,9 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
     gradient squares are alpha = (P'^2 + Q'^2) / t and beta = (P/R)^2 / t,
     |grad u|^2 = alpha + 2 beta, |D_{x-c} u|^2 = a^2 alpha + (s^2 - a^2)
     beta and u_t . (zeta . grad u) = -(|x| q a / 2t) alpha.  The geometry
-    is built once; each time slice makes one ``sol.radial`` and one
-    ``sol.energy_density`` call.  The lat-long directions are kept, not
+    is built once; each time slice makes one ``sol.radial`` call, and the
+    density e comes from the same (P, P', Q, Q').  The lat-long directions
+    are kept, not
     the Gauss rule in the cosine of the tables: the residual is the
     directional rule's O(dtheta^2) error, which a rule exact for this
     axisymmetric integrand would hide.
@@ -290,10 +312,10 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
     for t, wk in zip(ts, wt):
         R = r / np.sqrt(t)
         sol.check_radii(R)
-        P, dP, _, dQ = sol.radial(R)
+        P, dP, Q, dQ = sol.radial(R)
         alpha = (dP * dP + dQ * dQ) / t
         beta = _over_r(P, dP, R) ** 2 / t
-        e_div = np.asarray(sol.energy_density(R), dtype=float) / t * div_zeta
+        e_div = sol.density_of(R, P, dP, Q, dQ) / t * div_zeta
         lhs = lhs_coef * alpha / t
         lie = coef_alpha * alpha + coef_beta * beta
         vals = np.stack([lhs, e_div - lie,
@@ -401,59 +423,6 @@ def bochner_check(sol: SelfSimilarSolution, points, C: float = DEFAULT_C,
 
 
 # ---------------------------------------------------------------------------
-# second-derivative (Shi-type) bound
-
-
-@dataclass(frozen=True)
-class ShiReport:
-    lhs: float            # sup over B(x0, r/2) of |second derivative|^2
-    rhs: float
-    ratio: float
-    grad_sup_half: float  # sup |grad U| on B(x0, r/2)
-    implied_decay: float  # grad_sup_half * |x0|
-
-
-def shi_bound_check(sol: SelfSimilarSolution, x0, r: float,
-                    C: float = DEFAULT_C, step: float = 1e-4,
-                    n_sample: int = 200) -> ShiReport:
-    """Compare sup |D^2 U|^2 on the half ball with the gradient-scale bound.
-
-    RHS = C (1 + r^{-2} + |x0|/r + sup|grad U| + sup|grad U|^2)
-    * sup_{B(x0, r)} |grad U|^2; second derivatives by central differences
-    of the profile gradient.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    rng = np.random.default_rng(1234)
-    raw = rng.standard_normal((n_sample, 3))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    rho = rng.random(n_sample) ** (1.0 / 3.0)
-    pts_half = x0 + 0.5 * r * rho[:, None] * raw
-    pts_full = x0 + r * rho[:, None] * raw
-
-    def grad_sq(p):
-        g = sol.gradient(p, 1.0)
-        return (g * g).sum(axis=(-2, -1))
-
-    sup_g2_full = float(grad_sq(pts_full).max())
-    g2_half = grad_sq(pts_half)
-    sup_g_half = float(np.sqrt(g2_half.max()))
-
-    hess_sq = np.zeros(len(pts_half))
-    for a in range(3):
-        h = np.zeros(3)
-        h[a] = step
-        d = (sol.gradient(pts_half + h, 1.0) - sol.gradient(pts_half - h, 1.0)) \
-            / (2.0 * step)
-        hess_sq += (d * d).sum(axis=(-2, -1))
-    lhs = float(hess_sq.max())
-    sup_g = np.sqrt(sup_g2_full)
-    rhs = C * (1.0 + r**-2 + np.linalg.norm(x0) / r + sup_g + sup_g2_full) \
-        * sup_g2_full
-    return ShiReport(lhs, float(rhs), lhs / rhs if rhs > 0 else np.inf,
-                     sup_g_half, sup_g_half * float(np.linalg.norm(x0)))
-
-
-# ---------------------------------------------------------------------------
 # energy-inequality and tail reports
 
 
@@ -483,21 +452,3 @@ def energy_inequality_report(sol: SelfSimilarSolution, x0,
     e0 = boundary_local_energy(sol, x0)
     energies = np.array([local_energy(sol, x0, t) for t in times])
     return EnergyInequalityReport(times, energies, e0, (energies - e0) / e0)
-
-
-def annulus_energies(sol: SelfSimilarSolution, radii, t: float = 1.0,
-                     n_sphere: SphereGrid | None = None) -> np.ndarray:
-    """Mean of e_K over the annulus [R, 2R] per ladder radius R."""
-    sph = n_sphere if n_sphere is not None else SphereGrid(16, 32)
-    x_gl, w_gl = gauss_legendre(24)
-    out = np.empty(len(radii))
-    dirs = sph.directions.reshape(-1, 3)
-    w_dir = sph.weights.reshape(-1)
-    for i, R in enumerate(radii):
-        rho = 0.5 * R * (x_gl + 1.0) + R
-        w_rho = 0.5 * R * w_gl * rho**2
-        pts = rho[:, None, None] * dirs[None, :, :]
-        vals = pointwise_energy(sol, pts, t)
-        volume = 4.0 / 3.0 * np.pi * ((2.0 * R) ** 3 - R**3)
-        out[i] = np.einsum("i,j,ij->", w_rho, w_dir, vals) / volume
-    return out

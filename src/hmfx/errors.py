@@ -17,10 +17,6 @@ class GeometryDomainError(HmfxError):
     """Input outside the domain of a target-geometry formula (e.g. non-unit u)."""
 
 
-class TangencyError(GeometryDomainError):
-    """Vectors fed to the second fundamental form are not tangent."""
-
-
 class SingularPointError(GeometryDomainError):
     """Evaluation at the ambient origin where the sphere distance is not smooth."""
 
@@ -89,10 +85,6 @@ class TimeWindowError(HmfxError):
 
 class SupportError(HmfxError):
     """A test vector field is not compactly supported in the grid interior."""
-
-
-class WindowError(HmfxError):
-    """Far-field fit window is ill conditioned or too narrow."""
 
 
 class ConfigError(HmfxError):

@@ -243,8 +243,3 @@ class SphereGrid:
 
     def mean(self, samples: np.ndarray) -> np.ndarray:
         return self.integrate(samples) / (4.0 * np.pi)
-
-    def pole_values(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(north, south) pole values: mean of the adjacent latitude row."""
-        s = np.asarray(samples, dtype=float)
-        return s[0].mean(axis=0), s[-1].mean(axis=0)

@@ -1,12 +1,13 @@
-"""Self-similar solution wrappers with pointwise evaluation and gradients.
+"""Self-similar equivariant solutions, evaluated from their radial profile.
 
 A self-similar solution is determined by its profile U at time 1 through
-u(x, t) = U(x / sqrt(t)); the wrappers expose U, its spatial gradient and
-the induced time derivative at arbitrary points, so every diagnostic can
-quadrature against smooth callables instead of grid samples.  Every
-wrapped profile is equivariant, so its gradient is closed form, its
-energy density is a function e(r) of the radius alone, and the radial
-profile (P, P', Q, Q') behind both is exposed for scalar integrands.
+u(x, t) = U(x / sqrt(t)).  Every wrapped profile is equivariant, U(y) =
+(P(|y|) y/|y|, Q(|y|)), so a solution is its radial profile r -> (P, P',
+Q, Q') plus the penalty flavor and the limit angle of its boundary data.
+U, its gradient, its time derivative and the radial energy density e(r)
+are closed-form in (P, P', Q, Q'), one profile call each; the boundary
+density |grad u_0|^2 / 2 = sin^2(h_inf) / |x|^2 follows from the limit
+angle alone.
 """
 
 from __future__ import annotations
@@ -19,29 +20,28 @@ from .corotational import HermiteProfile
 from .errors import DomainExceededError, HmfxError, TimeOrderError
 
 
+def _over_r(p, dp, r):
+    """P / r, taking its limit P'(0) at the origin."""
+    return np.where(r > 0, p / np.where(r > 0, r, 1.0), dp)
+
+
 @dataclass(frozen=True)
 class SelfSimilarSolution:
-    """Profile-at-time-1 view of a self-similar map R^3 x (0, inf) -> R^m.
+    """Profile-at-time-1 view of an equivariant map R^3 x (0, inf) -> R^4.
 
-    ``profile_fn(points) -> (..., m)`` and ``profile_gradient_fn(points) ->
-    (..., 3, m)`` evaluate U and its Cartesian gradient;
-    ``energy_density(r)`` is the radial energy density e(r) of U, penalty
-    included; ``radial(r) -> (P, P', Q, Q')`` is the equivariant profile
-    behind both, U(y) = (P(|y|) y/|y|, Q(|y|)); ``flavor`` names the
-    penalty ('hm' for exactly sphere-valued maps, 'gl' for the quartic one
-    with strength K).
+    ``radial(r) -> (P, P', Q, Q')`` is the profile, U(y) = (P(|y|) y/|y|,
+    Q(|y|)); ``flavor`` names the penalty ('hm' for exactly sphere-valued
+    maps, 'gl' for the quartic one with strength K); ``boundary_angle`` is
+    the limit angle h_inf of the 0-homogeneous boundary data, None when
+    unknown.
     """
 
     name: str
-    m: int
     flavor: str  # 'hm' | 'gl'
-    profile_fn: object
-    profile_gradient_fn: object
-    energy_density: object
     radial: object
     K: float | None = None
     domain_radius: float = np.inf
-    boundary_gradient_sq: object = None  # |grad u_0|^2(x) of the boundary data
+    boundary_angle: float | None = None
 
     def __post_init__(self):
         if self.flavor not in ("hm", "gl"):
@@ -55,84 +55,74 @@ class SelfSimilarSolution:
             raise DomainExceededError(
                 "evaluation point leaves the profile domain after rescaling")
 
-    def rescale(self, points, t: float) -> np.ndarray:
-        """Profile points y = x / sqrt(t), checked against the domain."""
+    def rescale(self, points, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Profile points y = x / sqrt(t) and their radii, checked against
+        the domain."""
         if t <= 0.0:
             raise TimeOrderError("self-similar evaluation needs t > 0")
         y = np.asarray(points, dtype=float) / np.sqrt(t)
-        self.check_radii(np.linalg.norm(y, axis=-1))
-        return y
+        r = np.linalg.norm(y, axis=-1)
+        self.check_radii(r)
+        return y, r
+
+    def _polar(self, points, t: float):
+        """(r, omega = y / |y|, P, P', Q, Q') at y = x / sqrt(t); omega is
+        0 at the origin."""
+        y, r = self.rescale(points, t)
+        omega = y / np.where(r > 0, r, 1.0)[..., None]
+        return (r, omega, *self.radial(r))
 
     def evaluate(self, points, t: float = 1.0) -> np.ndarray:
-        """u(x, t) = U(x / sqrt(t))."""
-        return np.asarray(self.profile_fn(self.rescale(points, t)), dtype=float)
+        """u(x, t) = U(x / sqrt(t)) = (P omega, Q)."""
+        _, omega, p, _, q, _ = self._polar(points, t)
+        return np.concatenate([p[..., None] * omega, q[..., None]], axis=-1)
 
     def gradient(self, points, t: float = 1.0) -> np.ndarray:
-        """Spatial gradient: (grad u)(x, t) = t^{-1/2} (grad U)(x / sqrt(t))."""
-        y = self.rescale(points, t)
-        return np.asarray(self.profile_gradient_fn(y), dtype=float) / np.sqrt(t)
+        """Spatial gradient (..., 3, 4): (grad u)(x, t) = t^{-1/2} (grad U)(y).
 
-    def time_derivative(self, points, t: float = 1.0) -> np.ndarray:
-        """d/dt of u(x, t) = -(1 / 2t) (y . grad U)(y), y = x / sqrt(t)."""
-        y = self.rescale(points, t)
-        g = np.asarray(self.profile_gradient_fn(y), dtype=float)
-        return -(y[..., :, None] * g).sum(axis=-2) / (2.0 * t)
-
-
-# ---------------------------------------------------------------------------
-# equivariant profiles (closed-form gradients)
-
-
-def _over_r(p, dp, r):
-    """P / r, taking its limit P'(0) at the origin."""
-    return np.where(r > 0, p / np.where(r > 0, r, 1.0), dp)
-
-
-def _equivariant_fns(radial, m: int):
-    """Evaluators for U(x) = (P(r) x/|x|, Q(r)).
-
-    ``radial(r) -> (P, P', Q, Q')`` is evaluated once per call.
-    """
-
-    def polar(points):
-        pts = np.asarray(points, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        r_safe = np.where(r > 0, r, 1.0)
-        return r, r_safe, pts / r_safe[..., None]
-
-    def fn(points):
-        r, _, omega = polar(points)
-        p, _, q, _ = radial(r)
-        out = np.empty(omega.shape[:-1] + (m,))
-        out[..., :3] = np.where((r > 0)[..., None], p[..., None] * omega, 0.0)
-        out[..., 3:] = q[..., None]
-        return out
-
-    def grad_fn(points):
-        r, _, omega = polar(points)
-        p, dp, _, dq = radial(r)
+        d_j (P omega_i) = (P' - P/r) omega_j omega_i + (P/r) delta_ij and
+        d_j Q = Q' omega_j.
+        """
+        r, omega, p, dp, _, dq = self._polar(points, t)
         p_r = _over_r(p, dp, r)
-        out = np.zeros(omega.shape[:-1] + (3, m))
-        # d_j (P omega_i) = (P' - P / r) w_j w_i + (P / r) delta_ij
+        out = np.zeros(omega.shape[:-1] + (3, 4))
         out[..., :, :3] = ((dp - p_r)[..., None, None]
                            * omega[..., :, None] * omega[..., None, :])
         for i in range(3):
             out[..., i, i] += p_r
         out[..., :, 3] = dq[..., None] * omega
-        return out
+        return out / np.sqrt(t)
 
-    return fn, grad_fn
+    def time_derivative(self, points, t: float = 1.0) -> np.ndarray:
+        """d/dt of u(x, t) = -(y . grad U)(y) / 2t = -(r / 2t)(P' omega, Q')."""
+        r, omega, _, dp, _, dq = self._polar(points, t)
+        return -(r / (2.0 * t))[..., None] * np.concatenate(
+            [dp[..., None] * omega, dq[..., None]], axis=-1)
+
+    def density_of(self, r, p, dp, q, dq) -> np.ndarray:
+        """e = (P'^2 + Q'^2 + 2 (P/r)^2) / 2 from profile values at radii r,
+        plus (K/4)(1 - P^2 - Q^2)^2 for the 'gl' flavor."""
+        p_r = _over_r(p, dp, np.asarray(r, dtype=float))
+        e = 0.5 * (dp * dp + dq * dq + 2.0 * p_r * p_r)
+        if self.flavor == "gl":
+            e = e + 0.25 * self.K * (1.0 - p * p - q * q) ** 2
+        return e
+
+    def energy_density(self, r) -> np.ndarray:
+        """Radial energy density e(r) of U, penalty included; one profile call."""
+        r = np.asarray(r, dtype=float)
+        return self.density_of(r, *self.radial(r))
+
+    def boundary_density(self, r) -> np.ndarray:
+        """|grad u_0|^2 / 2 = sin^2(h_inf) / r^2 of the boundary data."""
+        if self.boundary_angle is None:
+            raise HmfxError("solution carries no boundary gradient information")
+        r = np.asarray(r, dtype=float)
+        return np.sin(self.boundary_angle) ** 2 / (r * r)
 
 
-def _conical_gradient_sq(h_inf: float):
-    """|grad u_0|^2 = 2 sin^2(h_inf) / |x|^2 of corotational data at angle h_inf."""
-    s2 = 2.0 * np.sin(h_inf) ** 2
-
-    def bgrad(points):
-        r2 = (np.asarray(points, dtype=float) ** 2).sum(axis=-1)
-        return s2 / r2
-
-    return bgrad
+# ---------------------------------------------------------------------------
+# constructors
 
 
 def from_angle(angle, name: str = "equivariant",
@@ -140,9 +130,8 @@ def from_angle(angle, name: str = "equivariant",
     """Sphere-valued equivariant solution from an angle profile h(r).
 
     ``angle(r) -> (h, h')`` evaluates the profile and its slope at radii
-    together (a shooting result's Hermite profile does); each evaluation
-    of U, its gradient or its energy density calls it once.  The density
-    is e = (h'^2 + 2 sin^2 h / r^2) / 2.
+    together (a shooting result's Hermite profile does); the radial
+    profile is (P, Q) = (sin h, cos h).
     """
 
     def radial(r):
@@ -150,15 +139,7 @@ def from_angle(angle, name: str = "equivariant",
         s, c = np.sin(h), np.cos(h)
         return s, c * dh, c, -s * dh
 
-    def density(r):
-        h, dh = angle(r)
-        s_r = _over_r(np.sin(h), dh, np.asarray(r, dtype=float))
-        return 0.5 * (dh * dh + 2.0 * s_r * s_r)
-
-    fn, grad_fn = _equivariant_fns(radial, 4)
-    bgrad = None if boundary_angle is None else _conical_gradient_sq(boundary_angle)
-    return SelfSimilarSolution(name, 4, "hm", fn, grad_fn, density, radial,
-                               boundary_gradient_sq=bgrad)
+    return SelfSimilarSolution(name, "hm", radial, boundary_angle=boundary_angle)
 
 
 def from_shooting(result, name: str | None = None) -> SelfSimilarSolution:
@@ -169,45 +150,30 @@ def from_shooting(result, name: str | None = None) -> SelfSimilarSolution:
                       boundary_angle=result.h_inf)
 
 
+def _constant_angle(h: float, name: str) -> SelfSimilarSolution:
+    """The exact solution h(r) = h of 0-homogeneous data at angle h."""
+    def angle(r):
+        return np.full(np.shape(r), h), np.zeros(np.shape(r))
+
+    return from_angle(angle, name, boundary_angle=h)
+
+
 def equator_solution() -> SelfSimilarSolution:
     """The exact constant-angle branch h = pi/2 (energy density 1/|x|^2)."""
-    def angle(r):
-        return np.full(np.shape(r), np.pi / 2.0), np.zeros(np.shape(r))
-
-    return from_angle(angle, "equator", boundary_angle=np.pi / 2.0)
+    return _constant_angle(np.pi / 2.0, "equator")
 
 
-def constant_solution(m: int = 4) -> SelfSimilarSolution:
-    point = np.zeros(m)
-    point[-1] = 1.0
-
-    def fn(points):
-        pts = np.asarray(points, dtype=float)
-        return np.broadcast_to(point, pts.shape[:-1] + (m,)).copy()
-
-    def grad_fn(points):
-        pts = np.asarray(points, dtype=float)
-        return np.zeros(pts.shape[:-1] + (3, m))
-
-    def density(r):
-        return np.zeros(np.shape(r))
-
-    def radial(r):
-        zero = np.zeros(np.shape(r))
-        return zero, zero, np.ones(np.shape(r)), zero
-
-    return SelfSimilarSolution("constant", m, "hm", fn, grad_fn, density, radial,
-                               boundary_gradient_sq=lambda p: np.zeros(
-                                   np.asarray(p, dtype=float).shape[:-1]))
+def constant_solution() -> SelfSimilarSolution:
+    """The constant map to the pole (0, 0, 0, 1)."""
+    return _constant_angle(0.0, "constant")
 
 
 def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSolution:
     """Wrap a converged penalized (psi, phi) collocation profile, n = 3.
 
     P and Q are quintic Hermite interpolants of the node values with the
-    grid's 3-point first and second derivatives.  The density is
-    e = (P'^2 + 2 P^2 / r^2 + Q'^2) / 2 + (K/4)(1 - P^2 - Q^2)^2
-    with (P, Q) = (psi, phi).
+    grid's 3-point first and second derivatives; the boundary angle is
+    that of the last node.
     """
     if profile.n != 3 or profile.is_angle_form:
         raise HmfxError("needs an n = 3 profile in (psi, phi) form")
@@ -218,15 +184,6 @@ def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSo
     def radial(r):
         return (*hp(r), *hq(r))
 
-    def density(r):
-        r = np.asarray(r, dtype=float)
-        p, dp, q, dq = radial(r)
-        p_r = _over_r(p, dp, r)
-        return (0.5 * (dp * dp + 2.0 * p_r * p_r + dq * dq)
-                + 0.25 * K * (1.0 - p * p - q * q) ** 2)
-
-    fn, grad_fn = _equivariant_fns(radial, 4)
     h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
-    return SelfSimilarSolution(name or f"gl(K={K:g})", 4, "gl", fn, grad_fn,
-                               density, radial, K=K, domain_radius=grid.r_max,
-                               boundary_gradient_sq=_conical_gradient_sq(h_inf))
+    return SelfSimilarSolution(name or f"gl(K={K:g})", "gl", radial, K=K,
+                               domain_radius=grid.r_max, boundary_angle=h_inf)

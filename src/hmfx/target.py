@@ -1,9 +1,8 @@
 """Closed-form geometry of the round sphere S^{m-1} as target manifold.
 
 Distance, projection, the plateau cutoff used by the penalized flow, the
-second fundamental form, both penalty forces, and the plateau force's
-rank-one linearization, through which alone the fixed-point solve sees
-the target.  Everything is a pure function of the ambient vector, so the
+plateau penalty force and its rank-one linearization, through which alone
+the fixed-point solve sees the target.  Everything is a pure function of the ambient vector, so the
 module is safe for concurrent use.
 """
 
@@ -14,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryDomainError, HmfxError, SingularPointError, TangencyError
+from .errors import GeometryDomainError, HmfxError, SingularPointError
 
 # below this ambient magnitude the sphere formulas of the plateau force fail
 AMBIENT_FLOOR = 1e-6
@@ -102,34 +101,7 @@ class TargetSphere:
             raise SingularPointError("sphere distance gradient undefined at the origin")
         return (r - 1.0) * u / r
 
-    # -- curvature --------------------------------------------------------
-
-    def second_fundamental_form(self, u, v, w, tol: float = 1e-8):
-        """A(u)(v, w) = -<v, w> u for the round sphere.
-
-        ``u`` must be unit to ``tol``; ``v`` and ``w`` must be tangent at u.
-        """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) >= tol):
-            raise GeometryDomainError("second fundamental form needs a unit base point")
-        scale_v = np.linalg.norm(v, axis=-1)
-        scale_w = np.linalg.norm(w, axis=-1)
-        if (np.any(np.abs((u * v).sum(axis=-1)) > tol * np.maximum(scale_v, 1e-300))
-                or np.any(np.abs((u * w).sum(axis=-1)) > tol * np.maximum(scale_w, 1e-300))):
-            raise TangencyError("inputs are not tangent to the sphere at u")
-        return -(v * w).sum(axis=-1)[..., None] * u
-
-    # -- penalty forces ---------------------------------------------------
-
-    def gl_force(self, u, K: float, t: float = 1.0):
-        """(K / t)(1 - |u|^2) u."""
-        if K <= 0 or t <= 0:
-            raise GeometryDomainError("penalty parameters K and t must be positive")
-        u = np.asarray(u, dtype=float)
-        r2 = (u * u).sum(axis=-1, keepdims=True)
-        return (K / t) * (1.0 - r2) * u
+    # -- penalty force ----------------------------------------------------
 
     def _plateau_factors(self, u):
         """(|u| - 1, chi'(d_N^2(u)), u / |u|) per ambient point."""

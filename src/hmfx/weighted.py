@@ -1,5 +1,5 @@
-"""The drift potential, the weighted Laplacian, heat kernels and the
-caloric first approximation of 0-homogeneous boundary data.
+"""The drift potential, the weighted Laplacian and the caloric first
+approximation of 0-homogeneous boundary data, a heat-kernel quadrature.
 
 The weighted operator is Delta + (r/2) d/dr, the natural elliptic operator
 for self-similar profiles; its potential |x|^2/4 + n/2 is normalized so
@@ -105,22 +105,6 @@ def weighted_laplacian_field(field: MapField) -> MapField:
     shell_mean = field.sphere.mean(v[1])
     out[0] = 2.0 * n * (shell_mean - v[0, 0, 0]) / r[1] ** 2
     return field.with_values(out)
-
-
-# ---------------------------------------------------------------------------
-# heat kernels
-
-
-def backward_heat_weight(z0, x, t, n: int = 3):
-    """Backward heat kernel centred at z0 = (x0, t0), evaluated at (x, t < t0)."""
-    x0, t0 = z0
-    x0 = np.asarray(x0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    tau = t0 - t
-    if np.any(np.asarray(tau) <= 0.0):
-        raise TimeOrderError("backward heat kernel needs t < t0")
-    d2 = ((x - x0) ** 2).sum(axis=-1)
-    return (4.0 * np.pi * tau) ** (-0.5 * n) * np.exp(-d2 / (4.0 * tau))
 
 
 # ---------------------------------------------------------------------------

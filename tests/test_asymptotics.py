@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from hmfx.asymptotics import (AsymptoticSeries, farfield_fit,
-                              gl_coefficients, hmf_coefficients,
+from hmfx.asymptotics import (AsymptoticSeries, gl_coefficients, hmf_coefficients,
                               rate_classify, series_ode_residual,
                               sphere_gradient_inner, sphere_laplacian,
                               sup_deviation)
 from hmfx.boundary import (corotational_map, equator_map,
                            identity_sphere_map)
-from hmfx.errors import WindowError
 from hmfx.grids import SphereGrid
 
 from conftest import loglog_slope
@@ -103,21 +101,6 @@ class TestGridRoute:
         series = hmf_coefficients(identity_sphere_map(), 1,
                                   sphere=SphereGrid(16, 32))
         assert series.sup_norms()[0] < 1e-10
-
-
-class TestFarfieldFit:
-    def test_recovers_planted_coefficients(self):
-        radii = np.geomspace(5.0, 50.0, 15)
-        dev = 0.7 / radii**2 - 0.3 / radii**4
-        fit = farfield_fit(radii, dev, 2)
-        np.testing.assert_allclose(fit.coefficients.ravel()[:2], [0.7, -0.3],
-                                   atol=1e-10)
-        assert fit.residual_sup < 1e-12
-
-    def test_narrow_window_rejected(self):
-        radii = np.linspace(10.0, 11.0, 8)
-        with pytest.raises(WindowError):
-            farfield_fit(radii, 1.0 / radii**2, 3)
 
 
 class TestRateClassification:

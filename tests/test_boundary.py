@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmfx.boundary import (_unit, builtin_boundary, constant_map,
-                           corotational_map, equator_map, from_sphere_samples,
-                           identity_sphere_map, lipschitz_wedge_map,
-                           load_boundary_csv)
-from hmfx.errors import ConfigError, GridError
+                           corotational_map, equator_map,
+                           identity_sphere_map, lipschitz_wedge_map)
+from hmfx.errors import ConfigError
 from hmfx.grids import SphereGrid
 
 unit_dirs = st.lists(st.floats(min_value=-1.0, max_value=1.0),
@@ -110,14 +109,3 @@ class TestResolverAndCsv:
     def test_unknown_spec_raises(self):
         with pytest.raises(ConfigError):
             builtin_boundary("does-not-exist")
-
-    def test_sample_roundtrip(self):
-        sphere = SphereGrid(12, 24)
-        u0 = corotational_map(0.2)
-        back = from_sphere_samples(u0.sphere_samples(sphere), sphere)
-        probe = SphereGrid(10, 20).directions.reshape(-1, 3)
-        assert np.abs(back(probe) - u0(probe)).max() < 2e-2
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(GridError):
-            from_sphere_samples(np.zeros((3, 4, 3)), SphereGrid(12, 24))

@@ -107,6 +107,28 @@ class TestExitCodes:
         assert summary["status"] == "config-error"
         assert key in summary["error"]
 
+    @pytest.mark.parametrize("args", [
+        ("fixed-point",),
+        ("caloric",),
+        ("diagnose", "--set", "run.boundary=corotational(0.2)"),
+        ("asymptotics", "--set", "run.boundary=lipschitz-wedge"),
+    ])
+    def test_dimension_other_than_three_is_config_error(self, tmp_path, monkeypatch,
+                                                        args):
+        # these routes work on R^3 (asymptotics: on S^2 samples) only
+        def no_solve(*a, **k):
+            raise AssertionError("solved before checking run.n")
+
+        monkeypatch.setattr(cli, "solve_corot", no_solve)
+        monkeypatch.setattr(cli.weighted.CaloricQuadrature, "extend", no_solve)
+        monkeypatch.setattr(cli.asymptotics, "hmf_coefficients", no_solve)
+        for name in ("caloric_corotational_field", "picard_iterate"):
+            monkeypatch.setattr(fixedpoint, name, no_solve)
+        code, _, summary = run(tmp_path, *args, "--set", "run.n=4")
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config-error"
+        assert "run.n must be 3" in summary["error"]
+
     def test_nonpositive_gl_penalty_in_asymptotics_is_config_error(self, tmp_path):
         code, _, summary = run(tmp_path, "asymptotics", "--set", "run.flavor=gl",
                                "--set", "run.K=0")

@@ -5,12 +5,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from hmfx.corotational import solve_corot, solve_gl_corot
-from hmfx.diagnostics import (annulus_energies, bochner_check,
-                              boundary_local_energy,
+from hmfx.diagnostics import (bochner_check, boundary_local_energy,
                               energy_inequality_report, eps_regularity_scan,
                               gaussian_integral, local_energy,
                               monotonicity_table, pointwise_energy,
-                              pohozaev_residual, shi_bound_check)
+                              pohozaev_residual)
 from hmfx.fields import ball_average
 from hmfx.grids import SphereGrid
 from hmfx.solutions import (SelfSimilarSolution, constant_solution,
@@ -110,10 +109,6 @@ class TestLocalizedEnergies:
                                 np.array([3.0, 0.0, 0.0]), 1.0)
         assert val == pytest.approx(1.0, rel=1e-8)
 
-    def test_annulus_energies_decrease(self, equator):
-        e = annulus_energies(equator, [2.0, 4.0, 8.0])
-        assert e[0] > e[1] > e[2]
-
 
 class TestMonotonicity:
     def test_equator_table_clean(self, equator):
@@ -142,17 +137,28 @@ class TestMonotonicity:
         gap_coarse = np.max(np.abs(axi - coarse) / np.abs(coarse))
         assert gap_fine <= 2e-5
         assert gap_coarse >= 5.0 * gap_fine
+        # the boundary mass of |grad u_0|^2 = 2 sin^2(h_inf) / |x|^2 over
+        # B(x0, 2), against the 3-D ball rule on the same two spheres
+        s2 = 2.0 * np.sin(sol.boundary_angle) ** 2
+        mass = [32.0 / 3.0 * np.pi * ball_average(
+            lambda p: (s2 / (p * p).sum(axis=-1))[..., None], x0, 2.0,
+            sphere=sphere)[0] for sphere in (SphereGrid(48, 96), SphereGrid(16, 32))]
+        gap_fine, gap_coarse = np.abs(table.boundary_energy - np.array(mass)) / mass
+        assert gap_fine <= 3e-5
+        assert gap_coarse >= 5.0 * gap_fine
 
     def test_one_density_call_per_table(self, corot):
+        # every slice's density comes from one profile call; the boundary
+        # mass needs none
         calls = []
 
         def counted(r):
             calls.append(np.size(r))
-            return corot.energy_density(r)
+            return corot.radial(r)
 
-        sol = dataclasses.replace(corot, energy_density=counted)
+        sol = dataclasses.replace(corot, radial=counted)
         monotonicity_table(sol, (np.array([10.0, 0.0, 0.0]), 1.0), MONO_RADII)
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
 
     def test_radius_window_enforced(self, equator):
         from hmfx.errors import TimeWindowError
@@ -201,7 +207,7 @@ class TestPohozaev:
         assert abs(rep.lhs - lhs) <= 1e-12 * scale
 
     def test_one_profile_evaluation_per_slice(self, corot, monkeypatch):
-        counts = {"radial": 0, "energy_density": 0, "gradient": 0}
+        counts = {"radial": 0, "gradient": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -211,12 +217,9 @@ class TestPohozaev:
 
         monkeypatch.setattr(SelfSimilarSolution, "gradient",
                             counted("gradient", SelfSimilarSolution.gradient))
-        sol = dataclasses.replace(
-            corot, radial=counted("radial", corot.radial),
-            energy_density=counted("energy_density", corot.energy_density))
+        sol = dataclasses.replace(corot, radial=counted("radial", corot.radial))
         pohozaev_residual(sol, np.array([5.0, 0.0, 0.0]), n_time=5)
         assert counts["radial"] <= 5
-        assert counts["energy_density"] <= 5
         assert counts["gradient"] == 0
 
     def test_equator_residual_small(self, equator):
@@ -242,10 +245,6 @@ class TestRegularityChain:
                                                [10.0, 0.0, 0.0]]))
         np.testing.assert_allclose(rep.ratios, -2.0, atol=1e-3)
         assert rep.passed
-
-    def test_shi_gradient_bound(self, equator):
-        rep = shi_bound_check(equator, np.array([10.0, 0.0, 0.0]), 1.0)
-        assert rep.ratio <= 1.0
 
 
 class TestEnergyInequality:

@@ -86,32 +86,9 @@ class TestSphereGeometry:
             fd = (T.dist_sq(u + e) - T.dist_sq(u - e)) / (4 * eps)
             assert g[i] == pytest.approx(fd, abs=1e-5)
 
-    def test_second_fundamental_form_sphere_identity(self):
-        # for the unit sphere, A(u)(v, w) = -<v_T, w_T> u
-        rng = np.random.default_rng(7)
-        T = TargetSphere()
-        for _ in range(10):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            vt = rng.normal(size=3)
-            wt = rng.normal(size=3)
-            vt -= (vt @ u) * u
-            wt -= (wt @ u) * u
-            expected = -(vt @ wt) * u
-            np.testing.assert_allclose(T.second_fundamental_form(u, vt, wt),
-                                       expected, atol=1e-8)
-
-    def test_second_fundamental_form_rejects_non_tangent(self):
-        from hmfx.errors import TangencyError
-        T = TargetSphere()
-        u = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(TangencyError):
-            T.second_fundamental_form(u, u, u)
-
     def test_forces_vanish_on_sphere(self):
         T = TargetSphere()
         u = np.array([0.6, 0.0, 0.8])
-        np.testing.assert_allclose(T.gl_force(u, 10.0), 0.0, atol=1e-14)
         np.testing.assert_allclose(T.cs_force(u, 10.0), 0.0, atol=1e-14)
 
     def test_cs_force_is_cutoff_slope_times_distance_gradient(self):
@@ -124,10 +101,3 @@ class TestSphereGeometry:
         ref = K * T.chi_prime(T.dist_sq(u))[:, None] * T.dist_sq_gradient(u)
         np.testing.assert_allclose(T.cs_force(u, K), ref, rtol=1e-15,
                                    atol=1e-15 * np.abs(ref).max())
-
-    def test_gl_force_direction(self):
-        # inside the sphere the penalization pushes outward
-        T = TargetSphere()
-        u = np.array([0.5, 0.0, 0.0])
-        f = T.gl_force(u, 10.0)
-        assert f[0] > 0.0

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from hmfx.boundary import constant_map, corotational_map, identity_sphere_map
 from hmfx.fields import MapField
 from hmfx.grids import RadialGrid, SphereGrid
-from hmfx.weighted import (CaloricQuadrature, backward_heat_weight,
-                           caloric_extension, caloric_extension_points,
-                           potential, potential_radial,
-                           weighted_laplacian_field,
+from hmfx.weighted import (CaloricQuadrature, caloric_extension,
+                           caloric_extension_points, potential,
+                           potential_radial, weighted_laplacian_field,
                            weighted_laplacian_profile)
 
 from conftest import loglog_slope
@@ -84,23 +83,6 @@ class TestDriftOperator:
         f = potential(x, n)
         r2 = (x**2).sum(axis=-1)
         np.testing.assert_allclose(f, r2 / 4.0 + n / 2.0)
-
-
-class TestBackwardHeatWeight:
-    def test_normalization(self):
-        # integrates to 1 in space for every t < t0
-        z0 = (np.zeros(3), 1.0)
-        t = 0.5
-        s = np.linspace(0.0, 12.0, 4000)
-        w = backward_heat_weight(z0, np.stack([s, 0 * s, 0 * s], axis=-1), t)
-        integral = np.trapezoid(4.0 * np.pi * s**2 * w, s)
-        assert integral == pytest.approx(1.0, rel=1e-6)
-
-    def test_peak_at_center(self):
-        z0 = (np.array([2.0, 0.0, 0.0]), 1.0)
-        pts = np.array([[2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        w = backward_heat_weight(z0, pts, 0.5)
-        assert w[0] > w[1]
 
 
 class TestCaloricExtension:
