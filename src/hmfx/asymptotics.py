@@ -6,7 +6,8 @@ recursion driven by the sphere Laplacian of the boundary map, with scalar
 ledgers a_i (penalized flavor) and b_i (harmonic flavor).  The penalized
 per-order solve is a rank-one perturbation of a diagonal system: the part
 of the right-hand side parallel to u_0 divides by (i + 2K), the orthogonal
-part by i.  Equivariant data admits a closed-form scalar route.
+part by i.  Each recursion is written once, over either the S^2 samples
+or the exact (p, q) reduction of corotational data.
 """
 
 from __future__ import annotations
@@ -65,16 +66,18 @@ def sphere_gradient_inner(a: np.ndarray, b: np.ndarray,
 class AsymptoticSeries:
     """Coefficient maps u_0..u_k of the expansion sum u_i r^{-2i}.
 
-    Grid backend: each coefficient is an array (n_theta, n_phi, m) on
-    ``sphere``.  Equivariant backend (``sphere`` is None): each coefficient
-    is the scalar pair (p_i, q_i) of the map (p_i * omega, q_i).
+    ``coefficients`` stacks the u_i along axis 0 and its last axis is the
+    target component: (n_theta, n_phi, m) nodes on ``sphere``, or, for
+    corotational data (``sphere`` is None), the pair (p_i, q_i) of the map
+    (p_i * omega, q_i).  ``ledger`` stacks a_i or b_i the same way,
+    without the component axis.
     """
 
     flavor: str  # 'hmf' | 'gl'
     K: float | None
     n: int
-    coefficients: tuple
-    ledger: tuple  # a_i or b_i; scalars (equivariant) or node arrays (grid)
+    coefficients: np.ndarray
+    ledger: np.ndarray
     sphere: SphereGrid | None = None
 
     def __post_init__(self):
@@ -82,155 +85,91 @@ class AsymptoticSeries:
             raise HmfxError("series flavor must be 'hmf' or 'gl'")
         if self.flavor == "gl" and (self.K is None or self.K <= 0):
             raise HmfxError("penalized series needs a positive K")
-        u0 = self.coefficients[0]
-        if self.sphere is None:
-            norm = np.hypot(u0[0], u0[1])
-        else:
-            norm = np.linalg.norm(np.asarray(u0), axis=-1)
+        norm = np.linalg.norm(self.coefficients[0], axis=-1)
         if np.any(np.abs(norm - 1.0) > 1e-10):
             raise HmfxError("leading coefficient must be unit-norm at every node")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
 
     @property
     def is_equivariant(self) -> bool:
         return self.sphere is None
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
-        """Partial sums at radii r: (..., n_theta, n_phi, m) or (..., 2)."""
+        """Partial sums at radii r, shaped r.shape + one coefficient's shape."""
         r = np.asarray(r, dtype=float)
-        if self.is_equivariant:
-            out = np.zeros(r.shape + (2,))
-            for i, (p, q) in enumerate(self.coefficients):
-                out[..., 0] += p * r**(-2.0 * i)
-                out[..., 1] += q * r**(-2.0 * i)
-            return out
-        shape = np.asarray(self.coefficients[0]).shape
-        out = np.zeros(r.shape + shape)
-        for i, u in enumerate(self.coefficients):
-            out += r.reshape(r.shape + (1,) * len(shape)) ** (-2.0 * i) * np.asarray(u)
-        return out
+        powers = r[..., None] ** (-2.0 * np.arange(len(self.coefficients)))
+        return np.tensordot(powers, self.coefficients, axes=1)
 
     def sup_norms(self) -> list[float]:
         """sup |u_i| for i >= 1 (decay of the coefficient ladder)."""
-        out = []
-        for u in self.coefficients[1:]:
-            if self.is_equivariant:
-                out.append(float(np.hypot(u[0], u[1])))
-            else:
-                out.append(float(np.linalg.norm(np.asarray(u), axis=-1).max()))
-        return out
+        norms = np.linalg.norm(self.coefficients[1:], axis=-1)
+        return norms.reshape(len(norms), -1).max(axis=1).tolist()
 
 
-def _check_order(k: int) -> None:
+def _backend(u0: BoundaryMap, k: int, sphere: SphereGrid | None, n: int):
+    """u_0, Delta_S and <grad_S a, grad_S b> for the coefficient recursions.
+
+    Corotational data takes the exact (p, q) reduction for any n: on
+    u = (p omega, q), Delta_S = diag(-(n-1), 0) and the gradient inner
+    product is (n-1) a_p b_p.  Other data is sampled on ``sphere`` (S^2,
+    hence n = 3) with the spectral sphere operators.  Returns
+    (u_0, laplacian, gradient_inner, sphere); sphere is None for (p, q).
+    """
     if not (1 <= k <= MAX_ORDER):
         raise HmfxError(f"series order must lie in [1, {MAX_ORDER}]")
+    if u0.is_corotational:
+        lap = np.array([-(n - 1.0), 0.0])
+        return (np.array([np.sin(u0.h_inf), np.cos(u0.h_inf)]),
+                lambda u: lap * u,
+                lambda a, b: (n - 1) * a[..., 0] * b[..., 0], None)
+    if n != 3:
+        raise GridError(f"{u0.name} is sampled on S^2, which needs n = 3 "
+                        f"(got n = {n}); only corotational data takes any n")
+    sphere = sphere if sphere is not None else SphereGrid()
+    return (u0.sphere_samples(sphere),
+            lambda u: sphere_laplacian(u, sphere),
+            lambda a, b: sphere_gradient_inner(a, b, sphere), sphere)
 
 
-def hmf_coefficients(u0: BoundaryMap | np.ndarray, k: int,
+def hmf_coefficients(u0: BoundaryMap, k: int,
                      sphere: SphereGrid | None = None,
                      n: int = 3) -> AsymptoticSeries:
-    """Coefficients of the harmonic-flavor expansion, order by order.
-
-    A corotational boundary map uses the exact scalar route for any n;
-    otherwise the map is sampled on ``sphere`` (n = 3) and the recursion
-    runs per node with spectral sphere derivatives.
+    """Coefficients of the harmonic-flavor expansion, order by order:
+    b_i = sum_j 4 j (i-1-j) <u_j, u_{i-1-j}> + <grad_S u_j, grad_S u_{i-1-j}>
+    and i u_i = Delta_S u_{i-1} + 2 (i-1)(2i-n) u_{i-1} + sum_l b_l u_{i-l}.
     """
-    _check_order(k)
-    if isinstance(u0, BoundaryMap) and u0.is_corotational:
-        return _equivariant_series("hmf", None, n, u0.h_inf, k)
-    sphere = sphere if sphere is not None else SphereGrid()
-    samples = u0.sphere_samples(sphere) if isinstance(u0, BoundaryMap) \
-        else np.asarray(u0, dtype=float)
-    u = [samples]
-    b = [np.zeros(samples.shape[:-1])]
+    first, lap, grad_inner, sphere = _backend(u0, k, sphere, n)
+    u = [first]
+    b = [np.zeros(first.shape[:-1])]
     for i in range(1, k + 1):
-        b_i = np.zeros(samples.shape[:-1])
-        for j in range(i):
-            b_i += (4.0 * j * (i - 1 - j)
-                    * (u[j] * u[i - 1 - j]).sum(axis=-1)
-                    + sphere_gradient_inner(u[j], u[i - 1 - j], sphere))
-        b.append(b_i)
-        rhs = sphere_laplacian(u[i - 1], sphere) \
-            + 2.0 * (i - 1) * (2 * i - n) * u[i - 1]
+        b.append(sum(4.0 * j * (i - 1 - j) * (u[j] * u[i - 1 - j]).sum(axis=-1)
+                     + grad_inner(u[j], u[i - 1 - j]) for j in range(i)))
+        rhs = lap(u[i - 1]) + 2.0 * (i - 1) * (2 * i - n) * u[i - 1]
         for l in range(1, i + 1):
             rhs += b[l][..., None] * u[i - l]
         u.append(rhs / i)
-    return AsymptoticSeries("hmf", None, n, tuple(u), tuple(b), sphere)
+    return AsymptoticSeries("hmf", None, n, np.stack(u), np.stack(b), sphere)
 
 
-def gl_coefficients(u0: BoundaryMap | np.ndarray, K: float, k: int,
+def gl_coefficients(u0: BoundaryMap, K: float, k: int,
                     sphere: SphereGrid | None = None,
                     n: int = 3) -> AsymptoticSeries:
-    """Coefficients of the penalized expansion with strength K."""
-    _check_order(k)
+    """Coefficients of the penalized expansion with strength K, with
+    a_i = 2 <u_0, u_i> + sum_{0<j<i} <u_j, u_{i-j}>."""
     if K <= 0:
         raise HmfxError("penalty strength K must be positive")
-    if isinstance(u0, BoundaryMap) and u0.is_corotational:
-        return _equivariant_series("gl", K, n, u0.h_inf, k)
-    sphere = sphere if sphere is not None else SphereGrid()
-    samples = u0.sphere_samples(sphere) if isinstance(u0, BoundaryMap) \
-        else np.asarray(u0, dtype=float)
-    u = [samples]
-    a = [np.zeros(samples.shape[:-1])]
+    first, lap, _, sphere = _backend(u0, k, sphere, n)
+    u = [first]
+    a = [np.zeros(first.shape[:-1])]
     for i in range(1, k + 1):
-        rhs = sphere_laplacian(u[i - 1], sphere) \
-            + 2.0 * (i - 1) * (2 * i - n) * u[i - 1]
+        rhs = lap(u[i - 1]) + 2.0 * (i - 1) * (2 * i - n) * u[i - 1]
         for j in range(1, i):
             rhs -= K * a[j][..., None] * u[i - j]
-            rhs -= K * (u[j] * u[i - j]).sum(axis=-1)[..., None] * u[0]
-        par = (rhs * u[0]).sum(axis=-1)[..., None]
-        perp = rhs - par * u[0]
-        u_i = perp / i + par * u[0] / (i + 2.0 * K)
-        u.append(u_i)
-        a_i = 2.0 * (u[0] * u_i).sum(axis=-1)
-        for j in range(1, i):
-            a_i += (u[j] * u[i - j]).sum(axis=-1)
-        a.append(a_i)
-    return AsymptoticSeries("gl", K, n, tuple(u), tuple(a), sphere)
-
-
-def _equivariant_series(flavor: str, K: float | None, n: int,
-                        h_inf: float, k: int) -> AsymptoticSeries:
-    """Closed-form scalar recursion for corotational boundary data.
-
-    The sphere Laplacian acts as (p, q) -> (-(n-1) p, 0), inner products
-    are p_j p_l + q_j q_l, and gradient inner products (n-1) p_j p_l.
-    """
-    u = [(np.sin(h_inf), np.cos(h_inf))]
-    ledger = [0.0]
-    for i in range(1, k + 1):
-        if flavor == "hmf":
-            b_i = sum(4.0 * j * (i - 1 - j)
-                      * (u[j][0] * u[i - 1 - j][0] + u[j][1] * u[i - 1 - j][1])
-                      + (n - 1) * u[j][0] * u[i - 1 - j][0]
-                      for j in range(i))
-            ledger.append(float(b_i))
-            rhs_p = -(n - 1) * u[i - 1][0] + 2.0 * (i - 1) * (2 * i - n) * u[i - 1][0]
-            rhs_q = 2.0 * (i - 1) * (2 * i - n) * u[i - 1][1]
-            for l in range(1, i + 1):
-                rhs_p += ledger[l] * u[i - l][0]
-                rhs_q += ledger[l] * u[i - l][1]
-            u.append((rhs_p / i, rhs_q / i))
-        else:
-            rhs_p = -(n - 1) * u[i - 1][0] + 2.0 * (i - 1) * (2 * i - n) * u[i - 1][0]
-            rhs_q = 2.0 * (i - 1) * (2 * i - n) * u[i - 1][1]
-            for j in range(1, i):
-                inner = u[j][0] * u[i - j][0] + u[j][1] * u[i - j][1]
-                rhs_p -= K * (ledger[j] * u[i - j][0] + inner * u[0][0])
-                rhs_q -= K * (ledger[j] * u[i - j][1] + inner * u[0][1])
-            par = rhs_p * u[0][0] + rhs_q * u[0][1]
-            perp_p = rhs_p - par * u[0][0]
-            perp_q = rhs_q - par * u[0][1]
-            u.append((perp_p / i + par * u[0][0] / (i + 2.0 * K),
-                      perp_q / i + par * u[0][1] / (i + 2.0 * K)))
-            a_i = 2.0 * (u[0][0] * u[i][0] + u[0][1] * u[i][1])
-            a_i += sum(u[j][0] * u[i - j][0] + u[j][1] * u[i - j][1]
-                       for j in range(1, i))
-            ledger.append(float(a_i))
-    return AsymptoticSeries(flavor, K, n, tuple(u), tuple(ledger), None)
+            rhs -= K * (u[j] * u[i - j]).sum(axis=-1)[..., None] * first
+        par = (rhs * first).sum(axis=-1)[..., None]
+        u.append((rhs - par * first) / i + par * first / (i + 2.0 * K))
+        a.append(sum(((u[j] * u[i - j]).sum(axis=-1) for j in range(1, i)),
+                     2.0 * (first * u[i]).sum(axis=-1)))
+    return AsymptoticSeries("gl", K, n, np.stack(u), np.stack(a), sphere)
 
 
 def series_ode_residual(series: AsymptoticSeries, radii) -> np.ndarray:
@@ -247,20 +186,13 @@ def series_ode_residual(series: AsymptoticSeries, radii) -> np.ndarray:
     if np.any(r <= 0.0):
         raise GridError("residual radii must be positive")
     n = series.n
-    P = np.zeros_like(r)
-    Q = np.zeros_like(r)
-    dP = np.zeros_like(r)
-    dQ = np.zeros_like(r)
-    d2P = np.zeros_like(r)
-    d2Q = np.zeros_like(r)
-    for i, (p, q) in enumerate(series.coefficients):
-        rp = r**(-2.0 * i)
-        P += p * rp
-        Q += q * rp
-        dP += -2.0 * i * p * rp / r
-        dQ += -2.0 * i * q * rp / r
-        d2P += 2.0 * i * (2.0 * i + 1.0) * p * rp / r**2
-        d2Q += 2.0 * i * (2.0 * i + 1.0) * q * rp / r**2
+    two_i = 2.0 * np.arange(len(series.coefficients))
+    r_col = r[..., None]
+    rp = r_col ** -two_i
+    (P, Q), (dP, dQ), (d2P, d2Q) = (
+        np.moveaxis(w @ series.coefficients, -1, 0)
+        for w in (rp, -two_i * rp / r_col,
+                  two_i * (two_i + 1.0) * rp / r_col**2))
     drift = (n - 1) / r + 0.5 * r
     lap_p = d2P + drift * dP - (n - 1) * P / r**2
     lap_q = d2Q + drift * dQ
@@ -338,8 +270,6 @@ def sup_deviation(evaluate, reference, radii) -> np.ndarray:
 class RateClassification:
     verdict: str  # 'super-polynomial' | 'smooth-rate' | 'lipschitz-rate' | 'unclassified'
     slope: float | None
-    max_deviation: float
-    diagnostics: dict
 
 
 def _loglog_slope(r: np.ndarray, values: np.ndarray,
@@ -369,17 +299,15 @@ def rate_classify(radii, sup_deviations,
     dev = np.asarray(sup_deviations, dtype=float)
     if r.shape != dev.shape or r.ndim != 1:
         raise GridError("rate classification needs matched 1-d radii and deviations")
-    max_dev = float(dev.max())
-    if max_dev < coeff_threshold:
-        return RateClassification("super-polynomial", None, max_dev, {})
+    if dev.max() < coeff_threshold:
+        return RateClassification("super-polynomial", None)
     slope = _loglog_slope(r, dev)
-    diag = {"slope": slope, "max_deviation": max_dev,
-            "window": (float(r.min()), float(r.max())),
-            "lipschitz_coefficient": float(np.median(dev * r))}
     if slope is None:
-        return RateClassification("unclassified", None, max_dev, diag)
-    if slope <= SMOOTH_SLOPE:
-        return RateClassification("smooth-rate", slope, max_dev, diag)
-    if abs(slope + 1.0) <= LIPSCHITZ_SLOPE_TOL:
-        return RateClassification("lipschitz-rate", slope, max_dev, diag)
-    return RateClassification("unclassified", slope, max_dev, diag)
+        verdict = "unclassified"
+    elif slope <= SMOOTH_SLOPE:
+        verdict = "smooth-rate"
+    elif abs(slope + 1.0) <= LIPSCHITZ_SLOPE_TOL:
+        verdict = "lipschitz-rate"
+    else:
+        verdict = "unclassified"
+    return RateClassification(verdict, slope)

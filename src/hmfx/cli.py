@@ -238,7 +238,7 @@ def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
                 for i, (p, q) in enumerate(series.coefficients)]
         _write_csv(out / "coefficients.csv", ["order", "p", "q", "ledger"], rows)
     else:
-        rows = [(i, float(np.linalg.norm(np.asarray(u), axis=-1).max()),
+        rows = [(i, float(np.linalg.norm(u, axis=-1).max()),
                  float(np.abs(series.ledger[i]).max()))
                 for i, u in enumerate(series.coefficients)]
         _write_csv(out / "coefficients.csv",

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
+from .asymptotics import _loglog_slope
 from .boundary import BoundaryMap, corotational_map
 from .errors import ConfigError, DivergenceError, GridError, LinearSolveError
 from .fields import MapField, gradient, x_norm
@@ -381,11 +382,6 @@ def verify_decay(V: MapField) -> DecayReport:
     gmag = np.sqrt((g * g).sum(axis=(-2, -1))).max(axis=(1, 2))
     sup_fv = float((f * mag).max())
     sup_fg = float((f**1.5 * gmag).max())
-
-    def tail_slope(values):
-        mask = (r > 0.25 * r[-1]) & (r < 0.95 * r[-1]) & (values > 1e-14)
-        if mask.sum() < 3:
-            return None
-        return float(np.polyfit(np.log(r[mask]), np.log(values[mask]), 1)[0])
-
-    return DecayReport(sup_fv, sup_fg, tail_slope(mag), tail_slope(gmag))
+    tail = (r > 0.25 * r[-1]) & (r < 0.95 * r[-1])
+    return DecayReport(sup_fv, sup_fg, _loglog_slope(r[tail], mag[tail]),
+                       _loglog_slope(r[tail], gmag[tail]))

@@ -322,6 +322,9 @@ def test_criterion_11_deterministic_artifacts(tmp_path):
             ["solve-corot", "--set", "run.h_inf=0.1"],
             ["solve-gl", "--set", "run.h_inf=0.1", "--set", "run.K=10"],
             ["asymptotics", "--set", "run.boundary=equator"],
+            ["asymptotics", "--set", "run.flavor=gl",
+             "--set", "run.boundary=corotational(0.3)"],
+            ["asymptotics", "--set", "run.boundary=lipschitz-wedge"],
             ["diagnose", "--set", "run.boundary=equator"],
             ["diagnose", "--set", "run.boundary=corotational(0.2)"],
             ["fixed-point", "--set", "run.sigma=0.9"],

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from hmfx.asymptotics import (AsymptoticSeries, gl_coefficients, hmf_coefficients,
-                              rate_classify, series_ode_residual,
-                              sphere_gradient_inner, sphere_laplacian,
-                              sup_deviation)
-from hmfx.boundary import (corotational_map, equator_map,
-                           identity_sphere_map)
+from hmfx.asymptotics import (MAX_ORDER, AsymptoticSeries, gl_coefficients,
+                              hmf_coefficients, rate_classify,
+                              series_ode_residual, sphere_gradient_inner,
+                              sphere_laplacian, sup_deviation)
+from hmfx.boundary import (BoundaryMap, corotational_map, equator_map,
+                           identity_sphere_map, lipschitz_wedge_map)
+from hmfx.errors import GridError
 from hmfx.grids import SphereGrid
 
 from conftest import loglog_slope
@@ -101,6 +102,52 @@ class TestGridRoute:
         series = hmf_coefficients(identity_sphere_map(), 1,
                                   sphere=SphereGrid(16, 32))
         assert series.sup_norms()[0] < 1e-10
+
+    def test_sampled_data_needs_three_dimensions(self):
+        with pytest.raises(GridError):
+            hmf_coefficients(lipschitz_wedge_map(), 2, n=4)
+        with pytest.raises(GridError):
+            gl_coefficients(lipschitz_wedge_map(), 10.0, 2, n=4)
+
+
+def _cross_backend_errors(order: int) -> np.ndarray:
+    """Per-order sup gap between the S^2 route and the exact (p, q) route.
+
+    Each corotational map is also re-wrapped without its limit angle, so
+    it is sampled on the default 24 x 48 sphere grid; the samples must
+    match (p_i omega, q_i).  Worst case over flavors and limit angles.
+    """
+    sphere = SphereGrid()
+    w = sphere.directions
+    worst = np.zeros(order + 1)
+    for h in (0.05, 0.3, 1.0, 2.0, 3.0):
+        exact_map = corotational_map(h)
+        sampled_map = BoundaryMap("sampled", exact_map.m, exact_map.fn)
+        for build in (lambda u0, **kw: hmf_coefficients(u0, order, **kw),
+                      lambda u0, **kw: gl_coefficients(u0, 10.0, order, **kw)):
+            pq = build(exact_map).coefficients
+            sampled = build(sampled_map, sphere=sphere).coefficients
+            for i, (p, q) in enumerate(pq):
+                expected = np.concatenate(
+                    [p * w, np.full(w.shape[:-1] + (1,), q)], axis=-1)
+                worst[i] = max(worst[i], np.abs(sampled[i] - expected).max())
+    return worst
+
+
+class TestCrossBackend:
+    def test_low_orders_agree(self):
+        worst = _cross_backend_errors(2)
+        assert worst[1] <= 1e-10
+        assert worst[2] <= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the S^2 route amplifies round-off by about 3e4 per order "
+        "(spectral sphere Laplacian), so orders 3-4 drift from the exact "
+        "(p, q) values; finer grids make it worse"))
+    def test_orders_three_and_four_agree(self):
+        worst = _cross_backend_errors(MAX_ORDER)
+        assert worst[3] <= 1e-6
+        assert worst[4] <= 1e-6
 
 
 class TestRateClassification:
