@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import os
 import pathlib
@@ -25,7 +24,7 @@ from .config import RunConfig
 from .corotational import MIN_TRUNCATION_RADIUS, solve_corot, solve_gl_corot
 from .errors import (ConfigError, GridError, HmfxError, NonconvergenceError,
                      NotAttainedError, PartialResultError)
-from .fields import save_field_csv, save_profile_csv
+from .fields import save_field_csv, save_profile_csv, write_csv
 from .grids import RadialGrid, SphereGrid
 
 EXIT_OK = 0
@@ -39,15 +38,6 @@ def _write_json(path: pathlib.Path, payload: dict) -> None:
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _write_csv(path: pathlib.Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                             for v in row])
 
 
 def _checked_float(cfg: RunConfig, key: str, ok, requirement: str) -> float:
@@ -150,9 +140,9 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
             f"Picard iteration did not converge in {len(state.step_norms)} "
             f"steps (last contraction ratio {last})", last_iterate=state)
     save_field_csv(state.V, out / "correction.csv")
-    _write_csv(out / "iterations.csv", ["step", "step_norm", "contraction_ratio"],
-               [(i, s, state.contraction_ratios[i - 1] if i >= 1 else "")
-                for i, s in enumerate(state.step_norms)])
+    write_csv(out / "iterations.csv", ["step", "step_norm", "contraction_ratio"],
+              [(i, s, state.contraction_ratios[i - 1] if i >= 1 else "")
+               for i, s in enumerate(state.step_norms)])
     decay = fixedpoint.verify_decay(state.V)
     return {
         "sigma": sigma, "K": K, "boundary": u0.name,
@@ -204,8 +194,8 @@ def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
             u0, np.sqrt(t) * np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 7.0]]), t=t)
         homo_err = max(homo_err, float(np.abs(scaled - base).max()))
     cls = asymptotics.rate_classify(radii, devs)
-    _write_csv(out / "deviation.csv", ["r", "sup_deviation"],
-               list(zip(radii.tolist(), devs.tolist())))
+    write_csv(out / "deviation.csv", ["r", "sup_deviation"],
+              list(zip(radii.tolist(), devs.tolist())))
     return {
         "boundary": u0.name, "smoothness": u0.smoothness,
         "max_principle_bound": sup_u0, "max_observed": max_prin,
@@ -236,13 +226,13 @@ def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
     if series.is_equivariant:
         rows = [(i, p, q, series.ledger[i])
                 for i, (p, q) in enumerate(series.coefficients)]
-        _write_csv(out / "coefficients.csv", ["order", "p", "q", "ledger"], rows)
+        write_csv(out / "coefficients.csv", ["order", "p", "q", "ledger"], rows)
     else:
         rows = [(i, float(np.linalg.norm(u, axis=-1).max()),
                  float(np.abs(series.ledger[i]).max()))
                 for i, u in enumerate(series.coefficients)]
-        _write_csv(out / "coefficients.csv",
-                   ["order", "sup_norm", "ledger_sup"], rows)
+        write_csv(out / "coefficients.csv",
+                  ["order", "sup_norm", "ledger_sup"], rows)
     return {
         "boundary": u0.name, "flavor": flavor, "order": k,
         "coefficient_sups": sups,
@@ -328,7 +318,7 @@ def cmd_diagnose(cfg: RunConfig, out: pathlib.Path) -> dict:
     poho = diagnostics.pohozaev_residual(sol, np.array([probe_radii[0], 0.0, 0.0]))
     verdicts.append({"check": "pohozaev-residual", "value": poho.residual,
                      "tolerance": 1e-2, "pass": poho.residual <= 1e-2})
-    _write_csv(out / "monotonicity.csv", ["probe", "R", "phi", "psi"], rows)
+    write_csv(out / "monotonicity.csv", ["probe", "R", "phi", "psi"], rows)
     _write_json(out / "verdicts.json", {"verdicts": verdicts})
     return {
         "solution": sol.name,

@@ -28,6 +28,7 @@ from .errors import (GridError, IntegrationError, NonconvergenceError,
                      ShootingDivergedError)
 from .fields import CorotationalProfile
 from .grids import RadialGrid
+from .weighted import weighted_laplacian_profile
 
 _SERIES_R0 = 1e-3
 _BLOWUP = 50.0
@@ -79,13 +80,10 @@ def hm_residual(profile: CorotationalProfile, n: int | None = None) -> np.ndarra
     if profile.grid.size < 50:
         raise GridError("angle residual needs at least 50 radial nodes")
     n = n if n is not None else profile.n
-    grid = profile.grid
     h = profile.angle
-    r = grid.nodes
-    d1 = grid.apply_d1(h)
-    d2 = grid.apply_d2(h)
-    res = np.empty_like(h)
-    res[1:] = d2[1:] - _hm_d2h(n, r[1:], h[1:], d1[1:])
+    r = profile.grid.nodes[1:]
+    res = weighted_laplacian_profile(h, profile.grid, n)
+    res[1:] -= (n - 1) / (2.0 * r * r) * np.sin(2.0 * h[1:])
     if abs(h[0]) < 1e-14 or abs(np.sin(2.0 * h[0])) < 1e-14:
         res[0] = 0.0
     else:
@@ -151,7 +149,6 @@ class ShootingResult:
 
     profile: CorotationalProfile
     slope: float
-    h_end: float
     h_inf: float
     farfield_coeff: float
     residual_sup: float
@@ -169,7 +166,7 @@ class ShootingResult:
 
 def _constant_branch(n: int, value: float, grid: RadialGrid) -> ShootingResult:
     profile = CorotationalProfile(grid, n, angle=np.full(grid.size, value))
-    return ShootingResult(profile, 0.0, value, value, 0.0, 0.0,
+    return ShootingResult(profile, 0.0, value, 0.0, 0.0,
                           HermiteProfile.constant(value, grid.r_max))
 
 
@@ -237,9 +234,8 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
 
     r_check = grid.nodes[(grid.nodes > 0.1) & (grid.nodes < r_max - 0.1)]
     residual = float(_dense_defect(dense, n, r_check).max())
-    return ShootingResult(profile, slope, float(dense(r_max)[0]), h_inf,
-                          farfield, residual, dense, shots=1,
-                          steps=int(info["nst"][-1]),
+    return ShootingResult(profile, slope, h_inf, farfield, residual, dense,
+                          shots=1, steps=int(info["nst"][-1]),
                           rhs_evaluations=int(info["nfe"][-1]))
 
 
@@ -320,9 +316,8 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
     if h_inf < 0:
         prof = CorotationalProfile(result.profile.grid, n, angle=-result.profile.angle)
         result = replace(
-            result, profile=prof, slope=-result.slope, h_end=-result.h_end,
-            h_inf=-result.h_inf, farfield_coeff=-result.farfield_coeff,
-            dense=result.dense.negated())
+            result, profile=prof, slope=-result.slope, h_inf=-result.h_inf,
+            farfield_coeff=-result.farfield_coeff, dense=result.dense.negated())
     return result
 
 
@@ -350,19 +345,15 @@ def gl_residual(profile: CorotationalProfile, K: float,
     if profile.is_angle_form:
         raise GridError("penalized residual needs the (psi, phi) form")
     n = n if n is not None else profile.n
-    grid = profile.grid
-    r = grid.nodes
+    r = profile.grid.nodes[1:-1]
     psi, phi = profile.psi, profile.phi
-    d1p, d2p = grid.apply_d1(psi), grid.apply_d2(psi)
-    d1q, d2q = grid.apply_d1(phi), grid.apply_d2(phi)
+    lap = weighted_laplacian_profile(np.stack([psi, phi], axis=1), profile.grid, n)
     pen = K * (1.0 - psi**2 - phi**2)
-    res_psi = np.zeros_like(psi)
-    res_phi = np.zeros_like(phi)
-    res_psi[1:-1] = (d2p[1:-1] + ((n - 1) / r[1:-1] + 0.5 * r[1:-1]) * d1p[1:-1]
-                     - (n - 1) * psi[1:-1] / r[1:-1] ** 2 + pen[1:-1] * psi[1:-1])
-    res_phi[1:-1] = (d2q[1:-1] + ((n - 1) / r[1:-1] + 0.5 * r[1:-1]) * d1q[1:-1]
-                     + pen[1:-1] * phi[1:-1])
-    return np.concatenate([res_psi, res_phi])
+    res = np.zeros((2, psi.size))
+    res[0, 1:-1] = (lap[1:-1, 0] - (n - 1) * psi[1:-1] / r**2
+                    + pen[1:-1] * psi[1:-1])
+    res[1, 1:-1] = lap[1:-1, 1] + pen[1:-1] * phi[1:-1]
+    return res.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -397,8 +388,8 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
         raise GridError("far-field values must lie on the unit circle")
     grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
     N = grid.size
-    r = grid.nodes
-    d1w, d2w = grid.d1_weights, grid.d2_weights
+    r = grid.nodes[1:-1]
+    d1w = grid.d1_weights
     psi_bc, phi_bc = gl_farfield_correction(n, K, psi_inf, phi_inf, grid.r_max)
 
     if initial is not None and not initial.is_angle_form:
@@ -419,37 +410,28 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
         # regularity at the center: one-sided phi'(0) = 0
         res_phi[0] = d1w[0, 0] * phi[0] + d1w[0, 1] * phi[1] + d1w[0, 2] * phi[2]
         res_phi[-1] = phi[-1] - phi_bc
-        return np.concatenate([res_psi, res_phi])
+        return res
+
+    # Jacobian triplets: the Delta_f rows of both equations, the 2 x 2
+    # penalty block of every interior node, then the boundary rows
+    inner = np.arange(1, N - 1)
+    stencil = grid.stencil_nodes[1:-1].ravel()
+    rows = np.concatenate([np.repeat(inner, 3), np.repeat(N + inner, 3),
+                           inner, inner, N + inner, N + inner,
+                           [0, N - 1, N, N, N, 2 * N - 1]])
+    cols = np.concatenate([stencil, N + stencil,
+                           inner, N + inner, N + inner, inner,
+                           [0, N - 1], N + grid.stencil_nodes[0], [2 * N - 1]])
+    drift = grid.drift_weights(n).ravel()
+    boundary = np.concatenate([[1.0, 1.0], d1w[0], [1.0]])
 
     def jacobian(psi, phi):
-        rows, cols, vals = [], [], []
-
-        def add(i, j, v):
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-
-        for i in range(1, N - 1):
-            cr = (n - 1) / r[i] + 0.5 * r[i]
-            stencil = [(i - 1, d2w[i, 0] + cr * d1w[i, 0]),
-                       (i, d2w[i, 1] + cr * d1w[i, 1]),
-                       (i + 1, d2w[i, 2] + cr * d1w[i, 2])]
-            pen = K * (1.0 - psi[i] ** 2 - phi[i] ** 2)
-            # psi equation
-            for j, v in stencil:
-                add(i, j, v)
-            add(i, i, -(n - 1) / r[i] ** 2 + pen - 2.0 * K * psi[i] ** 2)
-            add(i, N + i, -2.0 * K * psi[i] * phi[i])
-            # phi equation
-            for j, v in stencil:
-                add(N + i, N + j, v)
-            add(N + i, N + i, pen - 2.0 * K * phi[i] ** 2)
-            add(N + i, i, -2.0 * K * psi[i] * phi[i])
-        add(0, 0, 1.0)
-        add(N - 1, N - 1, 1.0)
-        for j in range(3):
-            add(N, N + j, d1w[0, j])
-        add(2 * N - 1, 2 * N - 1, 1.0)
+        psi, phi = psi[1:-1], phi[1:-1]
+        pen = K * (1.0 - psi**2 - phi**2)
+        cross = -2.0 * K * psi * phi
+        vals = np.concatenate([drift, drift,
+                               -(n - 1) / r**2 + pen - 2.0 * K * psi**2, cross,
+                               pen - 2.0 * K * phi**2, cross, boundary])
         return scipy.sparse.csr_matrix(
             (vals, (rows, cols)), shape=(2 * N, 2 * N))
 

@@ -254,7 +254,6 @@ class PohozaevReport:
     scale: float     # space-time integral of the absolute integrands
     residual: float  # |lhs - rhs| / (scale + eps)
     center: np.ndarray
-    window: tuple[float, float]
 
 
 def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
@@ -324,7 +323,7 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
     lhs_total, rhs_total, scale_total = totals
     resid = abs(lhs_total - rhs_total) / (scale_total + eps)
     return PohozaevReport(float(lhs_total), float(rhs_total), float(scale_total),
-                          float(resid), center, (t1, t2))
+                          float(resid), center)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +336,7 @@ class ProbeVerdict:
     psi_value: float
     flagged: bool           # localized energy at least epsilon_0
     sup_energy: float | None  # sup e_K on the shrunken parabolic ball
-    bound: float | None       # C (delta R)^{-2}
-    verified: bool | None
+    verified: bool | None     # sup_energy <= C (delta R)^{-2}
 
 
 def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
@@ -362,7 +360,7 @@ def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
         wt = 0.5 * (hi - lo) * w_gl
         psi = float(wt @ _kernel_slices(sol, x0, ts, t0 - ts, n_radial=24))
         if psi >= eps0:
-            out.append(ProbeVerdict(x0, float(psi), True, None, None, None))
+            out.append(ProbeVerdict(x0, float(psi), True, None, None))
             continue
         rad = delta * R
         sph = SphereGrid(8, 16)
@@ -372,9 +370,8 @@ def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
         sup_e = 0.0
         for t in (t0 - rad * rad, t0 - 0.5 * rad * rad, t0):
             sup_e = max(sup_e, float(pointwise_energy(sol, pts, t).max()))
-        bound = C / rad**2
-        out.append(ProbeVerdict(x0, float(psi), False, sup_e, bound,
-                                sup_e <= bound))
+        out.append(ProbeVerdict(x0, float(psi), False, sup_e,
+                                sup_e <= C / rad**2))
     return out
 
 
@@ -429,7 +426,6 @@ def bochner_check(sol: SelfSimilarSolution, points, C: float = DEFAULT_C,
 @dataclass(frozen=True)
 class EnergyInequalityReport:
     times: np.ndarray
-    local_energies: np.ndarray
     boundary_energy: float
     excesses: np.ndarray  # (E(t) - E0) / E0
 
@@ -451,4 +447,4 @@ def energy_inequality_report(sol: SelfSimilarSolution, x0,
     times = np.asarray(times, dtype=float)
     e0 = boundary_local_energy(sol, x0)
     energies = np.array([local_energy(sol, x0, t) for t in times])
-    return EnergyInequalityReport(times, energies, e0, (energies - e0) / e0)
+    return EnergyInequalityReport(times, e0, (energies - e0) / e0)

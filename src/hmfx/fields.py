@@ -281,6 +281,16 @@ def ball_average(fn, center, radius: float, n_radial: int = 24,
 # serialization: CSV values + JSON grid sidecar
 
 
+def write_csv(path: pathlib.Path, header: list[str], rows) -> None:
+    """CSV with LF line endings; every float (``np.float64`` too) as ``%.17g``."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
+
+
 def save_field_csv(field: MapField, path) -> None:
     """One row ``r, theta, phi, u0, ..`` per node, r slowest and phi fastest,
     every float written as ``%.17g`` (round-trip exact); grid sidecar JSON.
@@ -325,16 +335,11 @@ def load_field_csv(path) -> MapField:
 
 def save_profile_csv(profile: CorotationalProfile, path) -> None:
     path = pathlib.Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if profile.is_angle_form:
-            writer.writerow(["r", "h"])
-            for r, h in zip(profile.grid.nodes, profile.angle):
-                writer.writerow([f"{r:.17g}", f"{h:.17g}"])
-        else:
-            writer.writerow(["r", "psi", "phi"])
-            for r, a, b in zip(profile.grid.nodes, profile.psi, profile.phi):
-                writer.writerow([f"{r:.17g}", f"{a:.17g}", f"{b:.17g}"])
+    if profile.is_angle_form:
+        write_csv(path, ["r", "h"], zip(profile.grid.nodes, profile.angle))
+    else:
+        write_csv(path, ["r", "psi", "phi"],
+                  zip(profile.grid.nodes, profile.psi, profile.phi))
     meta = {
         "kind": "corotational_profile",
         "n": profile.n,

@@ -153,7 +153,7 @@ class SeparableInverse:
         nt, nph = sphere.n_theta, sphere.n_phi
         dt, dp = sphere.d_theta, sphere.d_phi
         sin_c = np.sin(sphere.theta)
-        faces = np.sin(sphere.theta[:-1] + 0.5 * dt) / dt**2  # rows j, j + 1
+        faces = sphere.face_sines / dt**2  # rows j, j + 1
         main = -(np.append(faces, 0.0) + np.insert(faces, 0, 0.0)) / sin_c
         off = faces / np.sqrt(sin_c[:-1] * sin_c[1:])
         phi_eig = (2.0 * np.cos(dp * np.arange(nph // 2 + 1)) - 2.0) / dp**2
@@ -168,8 +168,7 @@ class SeparableInverse:
 
         mu, self._P = np.linalg.eigh(shift)
         r = radial.nodes[1:-1]
-        rad = (radial.d2_weights[1:-1]
-               + ((n - 1) / r + 0.5 * r)[:, None] * radial.d1_weights[1:-1])
+        rad = radial.drift_weights(n)
         coeff0 = 2.0 * n / radial.nodes[1] ** 2
         rows = np.arange(1, radial.size - 1)  # row 0 is the origin slot
         mats = np.zeros((phi_eig.size, nt, mu.size, rows.size + 1, rows.size + 1))

@@ -112,17 +112,15 @@ class RadialGrid:
     def d1_weights(self) -> np.ndarray:
         """3-point first-derivative weights, shape (N, 3).
 
-        Row i holds weights for (u_{i-1}, u_i, u_{i+1}); the end rows are
-        one-sided (weights refer to the three nearest nodes).
+        Row i holds weights for the nodes ``stencil_nodes[i]``: (i-1, i, i+1)
+        inside, the three nearest nodes in the one-sided end rows.
         """
-        n = self.size
-        w = np.zeros((n, 3))
         h = self.spacings
-        for i in range(1, n - 1):
-            h1, h2 = h[i - 1], h[i]
-            w[i] = (-h2 / (h1 * (h1 + h2)),
-                    (h2 - h1) / (h1 * h2),
-                    h1 / (h2 * (h1 + h2)))
+        h1, h2 = h[:-1], h[1:]
+        w = np.empty((self.size, 3))
+        w[1:-1] = np.stack([-h2 / (h1 * (h1 + h2)),
+                            (h2 - h1) / (h1 * h2),
+                            h1 / (h2 * (h1 + h2))], axis=1)
         h1, h2 = h[0], h[1]
         w[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
                 (h1 + h2) / (h1 * h2),
@@ -140,44 +138,44 @@ class RadialGrid:
         End rows reuse the adjacent interior stencil (first-order there);
         callers that care about the ends use the regular-center expansion.
         """
-        n = self.size
-        w = np.zeros((n, 3))
         h = self.spacings
-        for i in range(1, n - 1):
-            h1, h2 = h[i - 1], h[i]
-            w[i] = (2.0 / (h1 * (h1 + h2)),
-                    -2.0 / (h1 * h2),
-                    2.0 / (h2 * (h1 + h2)))
+        h1, h2 = h[:-1], h[1:]
+        w = np.empty((self.size, 3))
+        w[1:-1] = np.stack([2.0 / (h1 * (h1 + h2)),
+                            -2.0 / (h1 * h2),
+                            2.0 / (h2 * (h1 + h2))], axis=1)
         w[0] = w[1]
         w[-1] = w[-2]
         return w
 
+    @cached_property
+    def stencil_nodes(self) -> np.ndarray:
+        """Node indices of each 3-point row, shape (N, 3); one-sided at both ends."""
+        centers = np.clip(np.arange(self.size), 1, self.size - 2)
+        return centers[:, None] + np.arange(-1, 2)
+
+    def drift_weights(self, n: int) -> np.ndarray:
+        """Interior rows, shape (N-2, 3), of Delta_f = d^2 + ((n-1)/r + r/2) d
+        on radial profiles in R^n."""
+        r = self.nodes[1:-1, None]
+        return self.d2_weights[1:-1] + ((n - 1) / r + 0.5 * r) * self.d1_weights[1:-1]
+
     def apply_d1(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
         """First derivative along ``axis`` (one-sided at both ends)."""
-        return _apply_3pt(values, self.d1_weights, axis)
+        return self._apply(values, self.d1_weights, axis)
 
     def apply_d2(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
         """Second derivative along ``axis`` (interior stencils; ends copied)."""
-        return _apply_3pt(values, self.d2_weights, axis)
+        return self._apply(values, self.d2_weights, axis)
 
-
-def _apply_3pt(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = v.shape[0]
-    if n != weights.shape[0]:
-        raise GridError("value array does not match grid size")
-    if n < 3:
-        raise GridError("need at least 3 nodes for a 3-point stencil")
-    out = np.empty_like(v)
-    shape = (n,) + (1,) * (v.ndim - 1)
-    w0 = weights[:, 0].reshape(shape)
-    w1 = weights[:, 1].reshape(shape)
-    w2 = weights[:, 2].reshape(shape)
-    out[1:-1] = (w0[1:-1] * v[:-2] + w1[1:-1] * v[1:-1] + w2[1:-1] * v[2:])
-    # one-sided rows act on the three nearest nodes
-    out[0] = w0[0] * v[0] + w1[0] * v[1] + w2[0] * v[2]
-    out[-1] = w0[-1] * v[-3] + w1[-1] * v[-2] + w2[-1] * v[-1]
-    return np.moveaxis(out, 0, axis)
+    def _apply(self, values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+        v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+        if v.shape[0] != self.size:
+            raise GridError("value array does not match grid size")
+        w = weights.reshape(weights.shape + (1,) * (v.ndim - 1))
+        idx = self.stencil_nodes
+        out = w[:, 0] * v[idx[:, 0]] + w[:, 1] * v[idx[:, 1]] + w[:, 2] * v[idx[:, 2]]
+        return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)
@@ -214,6 +212,11 @@ class SphereGrid:
     @property
     def d_phi(self) -> float:
         return 2.0 * np.pi / self.n_phi
+
+    @cached_property
+    def face_sines(self) -> np.ndarray:
+        """sin(theta) on the n_theta - 1 latitude faces between adjacent rows."""
+        return np.sin(self.theta[:-1] + 0.5 * self.d_theta)
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -36,20 +36,20 @@ def potential_radial(r, n: int = 3):
 
 
 def weighted_laplacian_profile(values: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
-    """Delta_f of a radial profile: u'' + ((n-1)/r + r/2) u'.
+    """Delta_f of radial profiles: u'' + ((n-1)/r + r/2) u'.
 
-    At r = 0 the smooth-origin rule Delta u(0) = n u''(0) is used.
+    ``values`` has the radial axis first; trailing axes are independent
+    profiles.  At r = 0 the smooth-origin rule Delta u(0) = n u''(0) is
+    used.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.size,):
+    if values.shape[:1] != (grid.size,):
         raise GridError("profile does not match the radial grid")
-    if grid.size < 3:
-        raise GridError("weighted Laplacian needs at least 3 radial nodes")
-    r = grid.nodes
+    r = grid.nodes[1:].reshape((-1,) + (1,) * (values.ndim - 1))
     d1 = grid.apply_d1(values)
     d2 = grid.apply_d2(values)
     out = np.empty_like(values)
-    out[1:] = d2[1:] + ((n - 1) / r[1:] + 0.5 * r[1:]) * d1[1:]
+    out[1:] = d2[1:] + ((n - 1) / r + 0.5 * r) * d1[1:]
     out[0] = n * d2[0]
     return out
 
@@ -57,29 +57,18 @@ def weighted_laplacian_profile(values: np.ndarray, grid: RadialGrid, n: int) -> 
 def _sphere_laplacian_stencil(values: np.ndarray, sphere: SphereGrid) -> np.ndarray:
     """Conservative second-order lat-long Laplace-Beltrami on S^2.
 
-    Fluxes through the pole faces vanish (sin(theta) = 0 there), so the
-    coordinate singularity needs no special ghost values.
+    The theta part is the difference of the fluxes sin(theta) dv/dtheta
+    through each row's two latitude faces; the pole faces carry no flux
+    (sin(theta) = 0 there), so the coordinate singularity needs no ghost
+    values.
     """
     v = np.asarray(values, dtype=float)
-    nt, nphi = sphere.n_theta, sphere.n_phi
-    if v.shape[-3] != nt or v.shape[-2] != nphi:
+    if v.shape[-3:-1] != (sphere.n_theta, sphere.n_phi):
         raise GridError("samples do not match the sphere grid")
     dt, dp = sphere.d_theta, sphere.d_phi
-    theta = sphere.theta
-    sin_c = np.sin(theta)
-    sin_f = np.sin(theta + 0.5 * dt)  # face above row j (towards south)
-    sin_f0 = np.sin(theta - 0.5 * dt)
-    shape = (1,) * (v.ndim - 3) + (nt, 1, 1)
-    sin_c = sin_c.reshape(shape)
-    sin_f = sin_f.reshape(shape)
-    sin_f0 = sin_f0.reshape(shape)
-
-    flux_down = np.zeros_like(v)
-    flux_up = np.zeros_like(v)
-    flux_down[..., :-1, :, :] = (v[..., 1:, :, :] - v[..., :-1, :, :]) / dt
-    flux_up[..., 1:, :, :] = (v[..., 1:, :, :] - v[..., :-1, :, :]) / dt
-    lap_theta = (sin_f * flux_down - sin_f0 * flux_up) / (sin_c * dt)
-
+    sin_c = np.sin(sphere.theta)[:, None, None]
+    flux = sphere.face_sines[:, None, None] * (np.diff(v, axis=-3) / dt)
+    lap_theta = np.diff(flux, axis=-3, prepend=0.0, append=0.0) / (sin_c * dt)
     lap_phi = (np.roll(v, -1, axis=-2) - 2.0 * v + np.roll(v, 1, axis=-2)) \
         / (sin_c**2 * dp**2)
     return lap_theta + lap_phi
@@ -94,13 +83,9 @@ def weighted_laplacian_field(field: MapField) -> MapField:
     n = field.n
     r = field.radial.nodes
     v = field.values
-    d1 = field.radial.apply_d1(v, axis=0)
-    d2 = field.radial.apply_d2(v, axis=0)
-    lap_s = _sphere_laplacian_stencil(v, field.sphere)
-
-    out = np.empty_like(v)
-    rr = r[1:, None, None, None]
-    out[1:] = d2[1:] + ((n - 1) / rr + 0.5 * rr) * d1[1:] + lap_s[1:] / rr**2
+    out = weighted_laplacian_profile(v, field.radial, n)
+    out[1:] += (_sphere_laplacian_stencil(v[1:], field.sphere)
+                / r[1:, None, None, None] ** 2)
     # origin: single physical point; Delta u(0) ~ 2n (mean_shell - u(0)) / r1^2
     shell_mean = field.sphere.mean(v[1])
     out[0] = 2.0 * n * (shell_mean - v[0, 0, 0]) / r[1] ** 2
@@ -218,20 +203,10 @@ class CaloricQuadrature:
         return out.reshape(*shape, u0.m)
 
 
-_DEFAULT_QUAD = None
-
-
-def _default_quadrature() -> CaloricQuadrature:
-    global _DEFAULT_QUAD
-    if _DEFAULT_QUAD is None:
-        _DEFAULT_QUAD = CaloricQuadrature()
-    return _DEFAULT_QUAD
-
-
 def caloric_extension_points(u0: BoundaryMap, points: np.ndarray,
                              t: float = 1.0) -> np.ndarray:
     """Heat-kernel smoothing of the boundary data at arbitrary points."""
-    return _default_quadrature().extend(u0, points, t=t)
+    return CaloricQuadrature().extend(u0, points, t=t)
 
 
 def caloric_extension(u0: BoundaryMap, radial: RadialGrid,

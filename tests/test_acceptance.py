@@ -328,6 +328,8 @@ def test_criterion_11_deterministic_artifacts(tmp_path):
             ["diagnose", "--set", "run.boundary=equator"],
             ["diagnose", "--set", "run.boundary=corotational(0.2)"],
             ["fixed-point", "--set", "run.sigma=0.9"],
+            ["fixed-point", "--set", "run.boundary=lipschitz-wedge",
+             "--set", "run.sigma=0.5"],
         ]
         digests = []
         for run in ("a", "b"):

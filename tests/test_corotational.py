@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
+import scipy.sparse.linalg
 
 from hmfx import corotational
 from hmfx.corotational import (continuation, gl_farfield_correction,
@@ -165,6 +167,54 @@ class TestPenalizedSystem:
                                         initial=profile)
             devs.append(np.abs(profile.modulus() - 1.0).max())
         assert devs[0] > devs[1] > devs[2]
+
+    def test_jacobian_matches_per_node_assembly(self, monkeypatch):
+        # every Newton matrix equals the per-node reference assembly at the
+        # iterate it linearizes: stored entries, explicit zeros and values
+        n, K = 4, 10.0
+        grid = RadialGrid.graded(40.0, 0.02)
+        N, r = grid.size, grid.nodes
+        d1w, d2w = grid.d1_weights, grid.d2_weights
+
+        def reference(psi, phi):
+            entries = [(0, 0, 1.0), (N - 1, N - 1, 1.0), (2 * N - 1, 2 * N - 1, 1.0)]
+            entries += [(N, N + j, d1w[0, j]) for j in range(3)]
+            for i in range(1, N - 1):
+                cr = (n - 1) / r[i] + 0.5 * r[i]
+                pen = K * (1.0 - psi[i] * psi[i] - phi[i] * phi[i])
+                cross = -2.0 * K * psi[i] * phi[i]
+                for k in range(3):
+                    v = d2w[i, k] + cr * d1w[i, k]
+                    entries += [(i, i + k - 1, v), (N + i, N + i + k - 1, v)]
+                entries += [
+                    (i, i, -(n - 1) / (r[i] * r[i]) + pen
+                     - 2.0 * K * (psi[i] * psi[i])),
+                    (i, N + i, cross), (N + i, i, cross),
+                    (N + i, N + i, pen - 2.0 * K * (phi[i] * phi[i]))]
+            rows, cols, vals = zip(*entries)
+            return scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                           shape=(2 * N, 2 * N))
+
+        state, pairs = {}, []
+        real_residual = corotational.gl_residual
+        real_spsolve = scipy.sparse.linalg.spsolve
+
+        def residual(profile, K_, n_):
+            # the last residual before a solve is the linearized iterate
+            state["iterate"] = (profile.psi.copy(), profile.phi.copy())
+            return real_residual(profile, K_, n_)
+
+        def spsolve(jac, rhs):
+            pairs.append((jac, reference(*state["iterate"])))
+            return real_spsolve(jac, rhs)
+
+        monkeypatch.setattr(corotational, "gl_residual", residual)
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+        solve_gl_corot(n, K, np.sin(0.3), np.cos(0.3), grid=grid)
+        assert len(pairs) >= 3
+        for jac, ref in pairs:
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(jac, attr), getattr(ref, attr))
 
     def test_constant_exact_branch(self):
         # h = 0 data: psi = 0, phi = 1 solves the system exactly

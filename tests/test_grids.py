@@ -36,6 +36,28 @@ class TestRadialGrid:
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(g.apply_d2(v), 6.0, rtol=0, atol=1e-8)
 
+    def test_interior_weights_match_per_node_formulas(self):
+        g = RadialGrid.graded(40.0, 0.05)
+        h = g.spacings
+        for i in range(1, g.size - 1):
+            h1, h2 = h[i - 1], h[i]
+            assert g.d1_weights[i].tolist() == [-h2 / (h1 * (h1 + h2)),
+                                                (h2 - h1) / (h1 * h2),
+                                                h1 / (h2 * (h1 + h2))]
+            assert g.d2_weights[i].tolist() == [2.0 / (h1 * (h1 + h2)),
+                                                -2.0 / (h1 * h2),
+                                                2.0 / (h2 * (h1 + h2))]
+
+    def test_stencil_nodes_one_sided_at_both_ends(self):
+        g = RadialGrid.graded(10.0, 0.1)
+        idx = g.stencil_nodes
+        N = g.size
+        assert idx.shape == (N, 3)
+        assert idx[0].tolist() == [0, 1, 2]
+        assert idx[-1].tolist() == [N - 3, N - 2, N - 1]
+        np.testing.assert_array_equal(idx[1:-1, 1], np.arange(1, N - 1))
+        np.testing.assert_array_equal(np.diff(idx, axis=1), 1)
+
     def test_rejects_bad_nodes(self):
         with pytest.raises(GridError):
             RadialGrid(np.array([0.0, 1.0, 0.5]))

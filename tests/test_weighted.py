@@ -62,6 +62,28 @@ class TestDriftOperator:
         slope = loglog_slope(hs, errs)
         assert slope >= 1.8
 
+    @pytest.mark.parametrize("grid", [RadialGrid.graded(20.0, 0.05),
+                                      RadialGrid(np.linspace(0.0, 5.0, 101))],
+                             ids=["graded", "uniform"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_drift_weights_are_the_profile_operator_rows(self, grid, n):
+        # the rows the GL Jacobian and the fixed-point preconditioner
+        # assemble, as a tridiagonal matrix, apply weighted_laplacian_profile
+        N = grid.size
+        A = np.zeros((N - 2, N))
+        A[np.arange(N - 2)[:, None], grid.stencil_nodes[1:-1]] = grid.drift_weights(n)
+        vals = np.cos(0.7 * grid.nodes) * np.exp(-0.05 * grid.nodes**2)
+        lap = weighted_laplacian_profile(vals, grid, n)[1:-1]
+        assert np.abs(A @ vals - lap).max() <= 1e-12 * np.abs(lap).max()
+
+    def test_stacked_profiles_match_columnwise_calls(self):
+        grid = RadialGrid.graded(20.0, 0.05)
+        stacked = np.random.default_rng(7).standard_normal((grid.size, 4))
+        lap = weighted_laplacian_profile(stacked, grid, 3)
+        for k in range(stacked.shape[1]):
+            assert np.array_equal(
+                lap[:, k], weighted_laplacian_profile(stacked[:, k], grid, 3))
+
     def test_field_operator_matches_profile_operator(self):
         # equivariant scalar data: the full 3-d stencil must reproduce the
         # radial reduction away from the axis poles
