@@ -31,7 +31,7 @@ def main():
     for sigma in args.sigmas:
         path = fixedpoint.path_map(u0, sigma)
         U0 = fixedpoint.caloric_corotational_field(path, radial, sphere)
-        state = fixedpoint.picard_iterate(U0, args.K, sigma=sigma)
+        state = fixedpoint.picard_iterate(U0, args.K)
         decay = fixedpoint.verify_decay(state.V)
         ratios = ", ".join(f"{q:.2e}" for q in state.contraction_ratios)
         print(f"sigma={sigma:4.2f}  steps={len(state.step_norms)}  "

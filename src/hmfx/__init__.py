@@ -12,7 +12,7 @@ from .boundary import (BoundaryMap, builtin_boundary, constant_map,
                        lipschitz_wedge_map)
 from .config import RunConfig, parse_config
 from .corotational import (ShootingResult, continuation, gl_residual,
-                           hm_residual, shoot_hm, solve_corot, solve_gl_corot)
+                           shoot_hm, solve_corot, solve_gl_corot)
 from .errors import HmfxError
 from .fields import (CorotationalProfile, MapField, gradient,
                      load_field_csv, load_profile_csv, save_field_csv,
@@ -29,8 +29,8 @@ __all__ = [
     "TargetSphere", "builtin_boundary", "caloric_extension",
     "caloric_extension_points", "constant_map", "continuation",
     "corotational_map", "equator_map", "gl_residual", "gradient",
-    "hm_residual", "identity_sphere_map", "lipschitz_wedge_map",
-    "load_field_csv", "load_profile_csv", "parse_config", "save_field_csv",
+    "identity_sphere_map", "lipschitz_wedge_map", "load_field_csv",
+    "load_profile_csv", "parse_config", "save_field_csv",
     "save_profile_csv", "shoot_hm", "solve_corot", "solve_gl_corot",
     "weighted_laplacian_field", "weighted_laplacian_profile",
     "weighted_sup_norm", "x_norm",

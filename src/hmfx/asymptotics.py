@@ -151,13 +151,13 @@ def hmf_coefficients(u0: BoundaryMap, k: int,
 
 
 def gl_coefficients(u0: BoundaryMap, K: float, k: int,
-                    sphere: SphereGrid | None = None,
                     n: int = 3) -> AsymptoticSeries:
     """Coefficients of the penalized expansion with strength K, with
-    a_i = 2 <u_0, u_i> + sum_{0<j<i} <u_j, u_{i-j}>."""
+    a_i = 2 <u_0, u_i> + sum_{0<j<i} <u_j, u_{i-j}>; data that is not
+    corotational is sampled on the default sphere grid."""
     if K <= 0:
         raise HmfxError("penalty strength K must be positive")
-    first, lap, _, sphere = _backend(u0, k, sphere, n)
+    first, lap, _, sphere = _backend(u0, k, None, n)
     u = [first]
     a = [np.zeros(first.shape[:-1])]
     for i in range(1, k + 1):
@@ -272,9 +272,8 @@ class RateClassification:
     slope: float | None
 
 
-def _loglog_slope(r: np.ndarray, values: np.ndarray,
-                  floor: float = 1e-14) -> float | None:
-    mask = values > floor
+def _loglog_slope(r: np.ndarray, values: np.ndarray) -> float | None:
+    mask = values > 1e-14
     if mask.sum() < 3:
         return None
     return float(np.polyfit(np.log(r[mask]), np.log(values[mask]), 1)[0])
@@ -285,8 +284,7 @@ SMOOTH_SLOPE = -1.7
 LIPSCHITZ_SLOPE_TOL = 0.3
 
 
-def rate_classify(radii, sup_deviations,
-                  coeff_threshold: float = SUPER_POLY_THRESHOLD) -> RateClassification:
+def rate_classify(radii, sup_deviations) -> RateClassification:
     """Classify the convergence rate of a boundary deviation ladder.
 
     Deviations below the threshold on the whole window mean every
@@ -299,7 +297,7 @@ def rate_classify(radii, sup_deviations,
     dev = np.asarray(sup_deviations, dtype=float)
     if r.shape != dev.shape or r.ndim != 1:
         raise GridError("rate classification needs matched 1-d radii and deviations")
-    if dev.max() < coeff_threshold:
+    if dev.max() < SUPER_POLY_THRESHOLD:
         return RateClassification("super-polynomial", None)
     slope = _loglog_slope(r, dev)
     if slope is None:

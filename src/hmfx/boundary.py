@@ -123,7 +123,10 @@ def builtin_boundary(spec: str, n: int = 3) -> BoundaryMap:
     if match:
         try:
             h_inf = float(match.group(1))
-        except ValueError as exc:
-            raise ConfigError(f"bad corotational angle in {spec!r}") from exc
+        except ValueError:
+            h_inf = np.nan
+        if not np.isfinite(h_inf):
+            raise ConfigError(
+                f"bad corotational angle in {spec!r}: need a finite number")
         return corotational_map(h_inf, n)
     raise ConfigError(f"unknown boundary map {spec!r}")

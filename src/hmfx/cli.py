@@ -60,12 +60,28 @@ def _truncation_radius(cfg: RunConfig) -> float:
                           f"be at least {MIN_TRUNCATION_RADIUS:g}")
 
 
+def _dimension(cfg: RunConfig) -> int:
+    """``run.n``, a config error below 3 (no corotational reduction there)."""
+    n = cfg.get_int("run.n")
+    if n < 3:
+        raise ConfigError(f"run.n must be at least 3, got {n}")
+    return n
+
+
 def _three_dimensional(cfg: RunConfig, command: str) -> int:
     """``run.n``, a config error unless 3: ``command`` works in R^3 only."""
     n = cfg.get_int("run.n")
     if n != 3:
         raise ConfigError(f"run.n must be 3 for {command}, got {n}")
     return n
+
+
+def _boundary(cfg: RunConfig, n: int):
+    """``run.boundary`` in R^n; a spec it rejects is a config error naming it."""
+    try:
+        return builtin_boundary(cfg.get_str("run.boundary"), n)
+    except ConfigError as exc:
+        raise ConfigError(f"run.boundary: {exc}") from exc
 
 
 def _fp_grids(cfg: RunConfig) -> tuple[RadialGrid, SphereGrid]:
@@ -89,7 +105,7 @@ def _fp_grids(cfg: RunConfig) -> tuple[RadialGrid, SphereGrid]:
 
 
 def cmd_solve_corot(cfg: RunConfig, out: pathlib.Path) -> dict:
-    n = cfg.get_int("run.n")
+    n = _dimension(cfg)
     h_inf = cfg.get_float("run.h_inf")
     r_max = _truncation_radius(cfg)
     result = solve_corot(n, h_inf, r_max=r_max,
@@ -105,11 +121,12 @@ def cmd_solve_corot(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 
 def cmd_solve_gl(cfg: RunConfig, out: pathlib.Path) -> dict:
-    n = cfg.get_int("run.n")
+    n = _dimension(cfg)
     K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
     h_inf = cfg.get_float("run.h_inf")
+    r_max = _checked_float(cfg, "grid.r_max", lambda r: r > 0.0, "be positive")
     profile, info = solve_gl_corot(
-        n, K, np.sin(h_inf), np.cos(h_inf), r_max=cfg.get_float("grid.r_max"),
+        n, K, np.sin(h_inf), np.cos(h_inf), r_max=r_max,
         tol=_checked_tolerance(cfg, "tol.newton"))
     save_profile_csv(profile, out / "profile.csv")
     return {
@@ -126,13 +143,13 @@ def cmd_fixed_point(cfg: RunConfig, out: pathlib.Path) -> dict:
     K = _checked_float(cfg, "run.K", lambda K: K > 0.0, "be positive")
     tol = _checked_tolerance(cfg, "tol.picard")
     radial, sphere = _fp_grids(cfg)
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), n)
+    u0 = _boundary(cfg, n)
     path = fixedpoint.path_map(u0, sigma)
     if path.is_corotational and path.m == 4:
         U0 = fixedpoint.caloric_corotational_field(path, radial, sphere)
     else:
         U0 = weighted.caloric_extension(path, radial, sphere)
-    state = fixedpoint.picard_iterate(U0, K, sigma=sigma, tol=tol)
+    state = fixedpoint.picard_iterate(U0, K, tol=tol)
     if not state.converged:
         last = (f"{state.contraction_ratios[-1]:.4g}"
                 if state.contraction_ratios else "n/a")
@@ -174,7 +191,7 @@ def _caloric_values(cfg: RunConfig) -> tuple[np.ndarray, list[float]]:
 def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
     n = _three_dimensional(cfg, "caloric")
     radii, times = _caloric_values(cfg)
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), n)
+    u0 = _boundary(cfg, n)
     quad = weighted.CaloricQuadrature()
     sup_u0 = float(np.linalg.norm(u0.sphere_samples(SphereGrid(24, 48)),
                                   axis=-1).max())
@@ -207,12 +224,15 @@ def cmd_caloric(cfg: RunConfig, out: pathlib.Path) -> dict:
 
 
 def cmd_asymptotics(cfg: RunConfig, out: pathlib.Path) -> dict:
-    n = cfg.get_int("run.n")
-    u0 = builtin_boundary(cfg.get_str("run.boundary"), n)
+    n = _dimension(cfg)
+    u0 = _boundary(cfg, n)
     if not u0.is_corotational:
         # the sphere-grid recursion samples S^2; only the scalar route takes any n
         _three_dimensional(cfg, "asymptotics on non-corotational data")
     k = cfg.get_int("run.k_order")
+    if not 1 <= k <= asymptotics.MAX_ORDER:
+        raise ConfigError(
+            f"run.k_order must lie in [1, {asymptotics.MAX_ORDER}], got {k}")
     flavor = cfg.get_str("run.flavor")
     if flavor == "hmf":
         series = asymptotics.hmf_coefficients(u0, k, n=n)
@@ -264,9 +284,8 @@ def _diag_radii(cfg: RunConfig) -> tuple[list[float], list[float]]:
 def _resolve_solution(cfg: RunConfig, probes: list[float],
                       mono: list[float]) -> solutions.SelfSimilarSolution:
     r_max = _truncation_radius(cfg)
-    spec = cfg.get_str("run.boundary")
-    u0 = builtin_boundary(spec, _three_dimensional(cfg, "diagnose"))
-    if spec == "constant":
+    u0 = _boundary(cfg, _three_dimensional(cfg, "diagnose"))
+    if cfg.get_str("run.boundary") == "constant":
         return solutions.constant_solution()
     if not u0.is_corotational:
         raise ConfigError("diagnostics need corotational or constant data")
@@ -274,9 +293,9 @@ def _resolve_solution(cfg: RunConfig, probes: list[float],
         return solutions.equator_solution()
     # shoot past the farthest profile radius |x| / sqrt(t) that diagnose
     # reads: kernel slices reach |x0| + 2 (the cutoff radius) at
-    # t = 1 - 4 R^2, for the table radii and the scan radius 1/4, and the
+    # t = 1 - 4 R^2, for the table radii and the scan radius, and the
     # Pohozaev slab reaches the first probe + 2 at t = 1/2
-    R_max = max(mono[-1], 0.25)
+    R_max = max(mono[-1], diagnostics.SCAN_RADIUS)
     reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
                 np.sqrt(2.0) * (probes[0] + 2.0))
     r_max = max(r_max, float(reach))
@@ -333,11 +352,16 @@ def cmd_sweep(cfg: RunConfig, out: pathlib.Path, jobs: int = 1) -> dict:
     if child_cmd not in _COMMANDS or child_cmd == "sweep":
         raise ConfigError(f"cannot sweep over command {child_cmd!r}")
     ladder = cfg.get_floats("run.K_ladder")
+    # each child writes to the directory named by its tag
+    tags = [f"K={K:g}" for K in ladder]
+    if not tags or len(set(tags)) < len(tags):
+        raise ConfigError(
+            f"run.K_ladder must be a non-empty list of distinct values, got {ladder}")
     children = []
-    for K in ladder:
+    for K, tag in zip(ladder, tags):
         values = dict(cfg.values)
         values["run.K"] = f"{K:g}"
-        children.append((f"K={K:g}", RunConfig(values, cfg.tolerance_profile)))
+        children.append((tag, RunConfig(values, cfg.tolerance_profile)))
 
     def run_child(tag_child):
         tag, child = tag_child

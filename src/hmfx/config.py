@@ -11,6 +11,7 @@ summary for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 import pathlib
 
 from .errors import ConfigError
@@ -112,15 +113,21 @@ class RunConfig:
 
     def get_float(self, key: str) -> float:
         try:
-            return float(self.raw(key))
+            value = float(self.raw(key))
         except ValueError as exc:
             raise ConfigError(f"config key {key!r} is not a number") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value}")
+        return value
 
     def get_floats(self, key: str) -> list[float]:
         try:
-            return [float(v) for v in self.raw(key).split(",") if v.strip()]
+            values = [float(v) for v in self.raw(key).split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"config key {key!r} is not a comma list") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"config key {key!r} must be finite, got {values}")
+        return values
 
     def get_tolerance(self, key: str) -> float:
         """Tolerance value scaled by the active profile."""

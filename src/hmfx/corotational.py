@@ -15,6 +15,7 @@ threaded; parameter sweeps may run them as independent jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 import math
 import warnings
 
@@ -37,6 +38,15 @@ _NODE_SPACING = 0.025
 _ODEINT_SUCCESS = "Integration successful."
 # smallest truncation radius a shot accepts
 MIN_TRUNCATION_RADIUS = 20.0
+# central-difference step of the defect check on the shooting profile
+_DEFECT_STEP = 1e-2
+_GL_MAX_ITER = 60
+
+
+@lru_cache(maxsize=8)
+def _profile_grid(r_max: float) -> RadialGrid:
+    """The graded profile grid on [0, r_max], built once per radius."""
+    return RadialGrid.graded(r_max, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -66,29 +76,6 @@ def _series_seed(a: float, n: int, r0: float) -> tuple[float, float]:
     """Regular-center expansion h = a r + c3 r^3 forced by the equation."""
     c3 = -(0.5 * a + (2.0 / 3.0) * (n - 1) * a**3) / (2.0 * n + 4.0)
     return a * r0 + c3 * r0**3, a + 3.0 * c3 * r0**2
-
-
-def hm_residual(profile: CorotationalProfile, n: int | None = None) -> np.ndarray:
-    """Pointwise finite-difference residual of the angle equation.
-
-    The node at r = 0 uses the regular expansion (the residual of a
-    regular profile vanishes there in the limit); profiles that are
-    singular at the origin report an infinite residual at that node.
-    """
-    if not profile.is_angle_form:
-        raise GridError("angle residual needs the pure-angle form")
-    if profile.grid.size < 50:
-        raise GridError("angle residual needs at least 50 radial nodes")
-    n = n if n is not None else profile.n
-    h = profile.angle
-    r = profile.grid.nodes[1:]
-    res = weighted_laplacian_profile(h, profile.grid, n)
-    res[1:] -= (n - 1) / (2.0 * r * r) * np.sin(2.0 * h[1:])
-    if abs(h[0]) < 1e-14 or abs(np.sin(2.0 * h[0])) < 1e-14:
-        res[0] = 0.0
-    else:
-        res[0] = np.inf
-    return res
 
 
 class HermiteProfile:
@@ -170,17 +157,16 @@ def _constant_branch(n: int, value: float, grid: RadialGrid) -> ShootingResult:
                           HermiteProfile.constant(value, grid.r_max))
 
 
-def _dense_defect(dense, n: int, r: np.ndarray, delta: float = 1e-2) -> np.ndarray:
+def _dense_defect(dense, n: int, r: np.ndarray) -> np.ndarray:
     """ODE defect of the profile interpolant via a 5-point stencil on h'."""
     r = np.asarray(r, dtype=float)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * delta
-    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * _DEFECT_STEP
+    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * _DEFECT_STEP)
     d2h = sum(wi * dense(r + oi)[1] for wi, oi in zip(w, offs))
     return np.abs(d2h - _hm_d2h(n, r, *dense(r)))
 
 
-def shoot_hm(n: int, slope: float, r_max: float = 40.0,
-             grid: RadialGrid | None = None) -> ShootingResult:
+def shoot_hm(n: int, slope: float, r_max: float = 40.0) -> ShootingResult:
     """Integrate the regular angle solution with initial slope ``slope``.
 
     One ``odeint`` (LSODA) call (the drift term (r/2) h' makes the
@@ -196,9 +182,7 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
     if r_max < MIN_TRUNCATION_RADIUS:
         raise GridError(
             f"truncation radius must be at least {MIN_TRUNCATION_RADIUS:g}")
-    grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
-    if abs(grid.r_max - r_max) > 1e-9:
-        raise GridError("grid does not end at the requested truncation radius")
+    grid = _profile_grid(r_max)
     if slope == 0.0:
         return _constant_branch(n, 0.0, grid)
 
@@ -239,18 +223,17 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0,
                           rhs_evaluations=int(info["nfe"][-1]))
 
 
-def _attained_range(n: int, r_max: float, grid: RadialGrid) -> tuple[float, float]:
+def _attained_range(n: int, r_max: float) -> tuple[float, float]:
     angles = []
     for a in np.linspace(0.0, 4.0, 17):
         try:
-            angles.append(shoot_hm(n, a, r_max, grid).h_inf)
+            angles.append(shoot_hm(n, a, r_max).h_inf)
         except ShootingDivergedError:
             break
     return (min(angles), max(angles)) if angles else (0.0, 0.0)
 
 
 def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
-                grid: RadialGrid | None = None,
                 tol: float = 1e-8) -> ShootingResult:
     """Find the regular profile with prescribed limit angle by shooting.
 
@@ -261,14 +244,13 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
     positive solve.  The result carries the shot, step and right-hand-side
     counts of the whole search.
     """
-    grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
     if abs(np.sin(2.0 * h_inf)) < 1e-14:
-        return _constant_branch(n, h_inf, grid)
+        return _constant_branch(n, h_inf, _profile_grid(r_max))
     target = abs(h_inf)
     shots: list[ShootingResult] = []
 
     def attained(a: float) -> ShootingResult:
-        shots.append(shoot_hm(n, a, r_max, grid))
+        shots.append(shoot_hm(n, a, r_max))
         return shots[-1]
 
     # the slope-0 shot is the constant branch h = 0, so f(0) = -target
@@ -282,13 +264,13 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
         if tries > 12:
             raise NotAttainedError(
                 f"limit angle {target:g} not reached by slopes up to {hi:g}",
-                reachable=_attained_range(n, r_max, grid))
+                reachable=_attained_range(n, r_max))
         try:
             result = attained(hi)
         except ShootingDivergedError:
             raise NotAttainedError(
                 f"shooting diverges before attaining limit angle {target:g}",
-                reachable=_attained_range(n, r_max, grid))
+                reachable=_attained_range(n, r_max))
     # Illinois regula falsi; the attained angle is monotone on the bracket
     f_hi = f = result.h_inf - target
     side, iters = 0, 0
@@ -339,12 +321,11 @@ def gl_farfield_correction(n: int, K: float, psi_inf: float, phi_inf: float,
     return psi_inf + psi1 / r**2, phi_inf + phi1 / r**2
 
 
-def gl_residual(profile: CorotationalProfile, K: float,
-                n: int | None = None) -> np.ndarray:
+def gl_residual(profile: CorotationalProfile, K: float) -> np.ndarray:
     """Stacked finite-difference residuals of the penalized system (interior)."""
     if profile.is_angle_form:
         raise GridError("penalized residual needs the (psi, phi) form")
-    n = n if n is not None else profile.n
+    n = profile.n
     r = profile.grid.nodes[1:-1]
     psi, phi = profile.psi, profile.phi
     lap = weighted_laplacian_profile(np.stack([psi, phi], axis=1), profile.grid, n)
@@ -374,19 +355,19 @@ def _gl_initial_guess(grid: RadialGrid, n: int, K: float,
 def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
                    r_max: float = 40.0, grid: RadialGrid | None = None,
                    initial: CorotationalProfile | None = None,
-                   tol: float = 1e-9, max_iter: int = 60) -> tuple[CorotationalProfile, GlSolveInfo]:
+                   tol: float = 1e-9) -> tuple[CorotationalProfile, GlSolveInfo]:
     """Damped-Newton collocation for the penalized equivariant system.
 
     Boundary conditions: psi(0) = 0, phi'(0) = 0, and far-field values at
     r_max corrected by the order-1 series (removes the O(r_max^-2)
     truncation bias).  The step is halved until the residual decreases,
-    at most 30 times.
+    at most 30 times, in each of at most 60 Newton steps.
     """
     if K <= 0:
         raise GridError("penalty strength K must be positive")
     if abs(psi_inf**2 + phi_inf**2 - 1.0) > 1e-10:
         raise GridError("far-field values must lie on the unit circle")
-    grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
+    grid = grid if grid is not None else _profile_grid(r_max)
     N = grid.size
     r = grid.nodes[1:-1]
     d1w = grid.d1_weights
@@ -403,7 +384,7 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
 
     def residual_vec(psi, phi):
         prof = CorotationalProfile(grid, n, psi=psi, phi=phi)
-        res = gl_residual(prof, K, n)
+        res = gl_residual(prof, K)
         res_psi, res_phi = res[:N], res[N:]
         res_psi[0] = psi[0]
         res_psi[-1] = psi[-1] - psi_bc
@@ -438,7 +419,7 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
     res = residual_vec(psi, phi)
     res_norm = np.abs(res).max()
     iters = 0
-    while res_norm > tol and iters < max_iter:
+    while res_norm > tol and iters < _GL_MAX_ITER:
         jac = jacobian(psi, phi)
         try:
             step = scipy.sparse.linalg.spsolve(jac, -res)
@@ -465,7 +446,7 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
         iters += 1
     if res_norm > tol:
         raise NonconvergenceError(
-            f"Newton did not converge in {max_iter} iterations "
+            f"Newton did not converge in {_GL_MAX_ITER} iterations "
             f"(residual {res_norm:.3e})",
             last_iterate=CorotationalProfile(grid, n, psi=psi, phi=phi))
     profile = CorotationalProfile(grid, n, psi=psi, phi=phi)
@@ -485,9 +466,8 @@ class ContinuationRung:
     residual_sup: float
 
 
-def continuation(n: int, K_ladder, h_inf: float, sigma_path,
-                 r_max: float = 40.0,
-                 grid: RadialGrid | None = None) -> list[ContinuationRung]:
+def continuation(n: int, K_ladder, h_inf: float,
+                 sigma_path) -> list[ContinuationRung]:
     """Warm-started sweep over the penalty ladder and the boundary homotopy.
 
     The boundary angle along the path is (1 - sigma) * h_inf.  Each rung
@@ -500,7 +480,6 @@ def continuation(n: int, K_ladder, h_inf: float, sigma_path,
         raise GridError("penalty ladder must be strictly increasing")
     if any(b >= a for a, b in zip(sigma_path, sigma_path[1:])):
         raise GridError("homotopy path must be strictly decreasing")
-    grid = grid if grid is not None else RadialGrid.graded(r_max, 0.02)
     rungs: list[ContinuationRung] = []
     previous = None
     for K in K_ladder:
@@ -508,8 +487,7 @@ def continuation(n: int, K_ladder, h_inf: float, sigma_path,
             angle = (1.0 - sigma) * h_inf
             try:
                 profile, info = solve_gl_corot(
-                    n, K, np.sin(angle), np.cos(angle), r_max, grid,
-                    initial=previous)
+                    n, K, np.sin(angle), np.cos(angle), initial=previous)
             except NonconvergenceError as exc:
                 raise PartialResultError(
                     f"continuation failed at K={K:g}, sigma={sigma:g}: {exc}",

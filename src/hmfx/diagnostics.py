@@ -20,7 +20,7 @@ function of |x| as well.  Which rule integrates what:
   with the lat-long rule.
 
 All non-explicit constants of the estimates are configured tolerances, not
-theory: slack 0.05, epsilon_0 = 0.02, delta = 0.25, C = 10 by default.
+theory: slack 0.05, epsilon_0 = 0.02, C = 10 by default, delta = 0.25 fixed.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ from .target import radial_bump, radial_bump_prime
 
 DEFAULT_SLACK = 0.05
 DEFAULT_EPS0 = 0.02
-DEFAULT_DELTA = 0.25
 DEFAULT_C = 10.0
 # the table radii stay below MAX_RADIUS * sqrt(t0): Psi reaches back to t0 - 4R^2
 MAX_RADIUS = 0.5
+# epsilon-regularity scan radius R and shrink factor delta of its ball
+SCAN_RADIUS = 0.25
+SCAN_SHRINK = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +254,18 @@ class PohozaevReport:
     lhs: float
     rhs: float
     scale: float     # space-time integral of the absolute integrands
-    residual: float  # |lhs - rhs| / (scale + eps)
+    residual: float  # |lhs - rhs| / (scale + 1e-12)
     center: np.ndarray
 
 
-def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
-                      t2: float = 1.0, inner: float = 1.0, outer: float = 2.0,
-                      n_time: int = 8, n_radial: int = 32,
-                      sphere: SphereGrid | None = None,
-                      eps: float = 1e-12) -> PohozaevReport:
+def pohozaev_residual(sol: SelfSimilarSolution, center, n_time: int = 8,
+                      n_radial: int = 32,
+                      sphere: SphereGrid | None = None) -> PohozaevReport:
     """Residual of the inner-variation identity for zeta = q(|x-c|)(x-c).
 
-    Both sides are space-time quadratures over the slab [t1, t2] with the
-    C^2 radial bump q (plateau inside ``inner``, zero past ``outer``), so
-    the support condition holds by construction; grad zeta is closed form.
+    Both sides are space-time quadratures over the slab [1/2, 1] with the
+    C^2 radial bump q (plateau inside 1, zero past 2), so the support
+    condition holds by construction; grad zeta is closed form.
     The nodes are ``n_radial`` Gauss-Legendre radii s = |x - c| times the
     lat-long ``sphere`` directions, and ``n_time`` Gauss-Legendre times.
 
@@ -281,8 +281,7 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
     directional rule's O(dtheta^2) error, which a rule exact for this
     axisymmetric integrand would hide.
     """
-    if not (0.0 < t1 < t2):
-        raise TimeWindowError("need 0 < t1 < t2 for the time slab")
+    t1, t2, inner, outer = 0.5, 1.0, 1.0, 2.0
     center = np.asarray(center, dtype=float)
     if (np.linalg.norm(center) + outer) / np.sqrt(t1) > sol.domain_radius * (1 + 1e-12):
         raise SupportError("test field support leaves the profile domain")
@@ -321,7 +320,7 @@ def pohozaev_residual(sol: SelfSimilarSolution, center, t1: float = 0.5,
                          np.abs(lhs) + np.abs(e_div) + np.abs(lie)])
         totals += wk * (vals.reshape(3, -1) @ w)
     lhs_total, rhs_total, scale_total = totals
-    resid = abs(lhs_total - rhs_total) / (scale_total + eps)
+    resid = abs(lhs_total - rhs_total) / (scale_total + 1e-12)
     return PohozaevReport(float(lhs_total), float(rhs_total), float(scale_total),
                           float(resid), center)
 
@@ -339,18 +338,15 @@ class ProbeVerdict:
     verified: bool | None     # sup_energy <= C (delta R)^{-2}
 
 
-def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
+def eps_regularity_scan(sol: SelfSimilarSolution, probes,
                         eps0: float = DEFAULT_EPS0,
-                        delta: float = DEFAULT_DELTA,
                         C: float = DEFAULT_C) -> list[ProbeVerdict]:
-    """Mark probes (t0 = 1) whose Psi reaches eps0; verify the rest.
+    """Mark probes (t0 = 1) whose Psi at radius R reaches eps0; verify the rest.
 
     Unflagged probes additionally check sup e_K over the parabolic ball of
     radius delta * R against C (delta R)^{-2} on a coarse sample.
     """
-    if not (0.0 < R < 0.5):
-        raise TimeWindowError("scan radius must lie in (0, 1/2)")
-    t0 = 1.0
+    R, t0 = SCAN_RADIUS, 1.0
     x_gl, w_gl = gauss_legendre(6)
     out = []
     for x0 in probes:
@@ -362,7 +358,7 @@ def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
         if psi >= eps0:
             out.append(ProbeVerdict(x0, float(psi), True, None, None))
             continue
-        rad = delta * R
+        rad = SCAN_SHRINK * R
         sph = SphereGrid(8, 16)
         dirs = sph.directions.reshape(-1, 3)
         pts = np.concatenate([x0[None], x0[None] + 0.5 * rad * dirs,
@@ -383,20 +379,19 @@ def eps_regularity_scan(sol: SelfSimilarSolution, probes, R: float = 0.25,
 class BochnerReport:
     ratios: np.ndarray
     max_ratio: float
-    bound: float
     passed: bool
 
 
-def bochner_check(sol: SelfSimilarSolution, points, C: float = DEFAULT_C,
-                  step: float = 1e-3,
-                  floor: float = 1e-10) -> BochnerReport:
+def bochner_check(sol: SelfSimilarSolution, points,
+                  C: float = DEFAULT_C) -> BochnerReport:
     """Ratio ((d/dt - Delta) e_K) / e_K^2 at sample points, t = 1.
 
     Self-similarity turns the parabolic operator into minus the weighted
     elliptic one plus a zero-order term: (d/dt - Delta) e = -(Delta_f e1
     + e1) at t = 1, so only the profile density e1 is differentiated
-    (second-order central differences with the given step).
+    (central differences with step 1e-3, where e_K exceeds 1e-10).
     """
+    step, floor = 1e-3, 1e-10
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     e1 = lambda p: pointwise_energy(sol, p, 1.0)
     e0 = e1(pts)
@@ -404,7 +399,7 @@ def bochner_check(sol: SelfSimilarSolution, points, C: float = DEFAULT_C,
     pts = pts[keep]
     e0 = e0[keep]
     if pts.size == 0:
-        return BochnerReport(np.empty(0), -np.inf, C, True)
+        return BochnerReport(np.empty(0), -np.inf, True)
     lap = np.zeros(len(pts))
     drift = np.zeros(len(pts))
     for a in range(3):
@@ -416,7 +411,7 @@ def bochner_check(sol: SelfSimilarSolution, points, C: float = DEFAULT_C,
         drift += pts[:, a] * (ep - em) / (2.0 * step)
     ratios = -(lap + 0.5 * drift + e0) / e0**2
     max_ratio = float(ratios.max())
-    return BochnerReport(ratios, max_ratio, C, max_ratio <= C)
+    return BochnerReport(ratios, max_ratio, max_ratio <= C)
 
 
 # ---------------------------------------------------------------------------

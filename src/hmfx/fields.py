@@ -200,7 +200,7 @@ def gradient(field: MapField) -> np.ndarray:
     if field.radial.size < 3:
         raise GridError("gradient needs at least 3 radial nodes")
     sph = field.sphere
-    du_dr = field.radial.apply_d1(field.values, axis=0)
+    du_dr = field.radial.apply_d1(field.values)
     d_th, d_ph = sphere_partials(field.values, sph)
 
     st = np.sin(sph.theta)[:, None]

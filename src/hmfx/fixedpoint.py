@@ -15,6 +15,7 @@ once per (U0, K), as the preconditioner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse.linalg
@@ -32,6 +33,10 @@ from .weighted import (CaloricQuadrature, potential_radial,
 LINEAR_RTOL = 1e-12
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 10
+PICARD_MAX_STEPS = 40
+
+# one target per ambient dimension: construction verifies the cutoff bridge
+_target = lru_cache(maxsize=None)(TargetSphere)
 
 
 def default_grids() -> tuple[RadialGrid, SphereGrid]:
@@ -99,8 +104,7 @@ def caloric_corotational_field(u0: BoundaryMap, radial: RadialGrid,
 # penalty right-hand side
 
 
-def assemble_Q(U0: MapField, V: MapField, K: float,
-               target: TargetSphere | None = None, lin=None) -> MapField:
+def assemble_Q(U0: MapField, V: MapField, K: float, lin=None) -> MapField:
     """Penalty nonlinearity Q(U0, V) of the fixed-point splitting.
 
     Q = -K chi'(d^2(U0)) <u_hat, V> u_hat
@@ -109,7 +113,7 @@ def assemble_Q(U0: MapField, V: MapField, K: float,
     the operator side.  ``lin`` is that linearization when the caller
     already holds it (``LinearizedOperator.lin``).
     """
-    target = target if target is not None else TargetSphere(m=U0.m)
+    target = _target(m=U0.m)
     if lin is None:
         *_, lin = target.cs_linearization(U0.values, K)
     full = target.cs_force(U0.values + V.values, K)
@@ -117,7 +121,6 @@ def assemble_Q(U0: MapField, V: MapField, K: float,
 
 
 def assemble_rhs(U0: MapField, V: MapField, K: float,
-                 target: TargetSphere | None = None,
                  extension_defect: MapField | None = None,
                  lin=None) -> MapField:
     """Q plus the discrete defect -Delta_f U0 of the first approximation.
@@ -126,7 +129,7 @@ def assemble_rhs(U0: MapField, V: MapField, K: float,
     Laplacian; its discrete defect is kept on the right-hand side so the
     Picard limit solves the discrete static equation exactly.
     """
-    q = assemble_Q(U0, V, K, target, lin)
+    q = assemble_Q(U0, V, K, lin)
     defect = extension_defect if extension_defect is not None \
         else weighted_laplacian_field(U0)
     return q.with_values(q.values - defect.values)
@@ -209,13 +212,11 @@ class LinearizedOperator:
     by ``SeparableInverse`` with the penalty replaced by its grid mean.
     """
 
-    def __init__(self, U0: MapField, K: float,
-                 target: TargetSphere | None = None):
+    def __init__(self, U0: MapField, K: float):
         if K <= 0:
             raise GridError("penalty strength K must be positive")
         self.U0 = U0
-        target = target if target is not None else TargetSphere(m=U0.m)
-        chi0, uhat, self.lin = target.cs_linearization(U0.values, K)
+        chi0, uhat, self.lin = _target(m=U0.m).cs_linearization(U0.values, K)
         N, nt, nph, m = self._shape = U0.values.shape
         self.n_unknown = m + (N - 2) * nt * nph * m
         self.iterations: list[int] = []  # GMRES iterations per solve
@@ -289,8 +290,6 @@ def solve_linear_dirichlet(Q: MapField, op: LinearizedOperator
 
 @dataclass(frozen=True)
 class FixedPointState:
-    sigma: float
-    K: float
     U0: MapField
     V: MapField
     x_norm_V: float
@@ -302,39 +301,34 @@ class FixedPointState:
     linear_iterations: tuple  # GMRES iterations per Picard step
 
 
-def static_residual(U0: MapField, V: MapField, K: float,
-                    target: TargetSphere | None = None) -> float:
+def static_residual(U0: MapField, V: MapField, K: float) -> float:
     """Sup residual of the discrete static penalized equation on U0 + V.
 
     The outer Dirichlet shell is excluded (the truncation lives there).
     """
-    target = target if target is not None else TargetSphere(m=U0.m)
     total = U0.with_values(U0.values + V.values)
     lap = weighted_laplacian_field(total)
-    res = lap.values - target.cs_force(total.values, K)
+    res = lap.values - _target(m=U0.m).cs_force(total.values, K)
     return float(np.abs(res[:-1]).max())
 
 
-def picard_iterate(U0: MapField, K: float, sigma: float = 0.0,
-                   max_iters: int = 40, tol: float = 1e-8,
-                   target: TargetSphere | None = None) -> FixedPointState:
+def picard_iterate(U0: MapField, K: float, tol: float = 1e-8) -> FixedPointState:
     """Iterate V -> A^{-1}(Q(U0, V) - Delta_f U0) from V = 0.
 
     Stops when consecutive iterates differ by less than ``tol`` in the
-    weighted correction norm; three consecutive non-contractive steps
-    abort with the iteration ledger attached.
+    weighted correction norm, or after ``PICARD_MAX_STEPS`` steps; three
+    consecutive non-contractive steps abort with the iteration ledger
+    attached.
     """
-    target = target if target is not None else TargetSphere(m=U0.m)
-    op = LinearizedOperator(U0, K, target)
+    op = LinearizedOperator(U0, K)
     defect = weighted_laplacian_field(U0)
     V = U0.with_values(np.zeros_like(U0.values))
     steps, ratios = [], []
     barrier = 0.0
     bad = 0
     converged = False
-    for _ in range(max_iters):
-        rhs = assemble_rhs(U0, V, K, target, extension_defect=defect,
-                           lin=op.lin)
+    for _ in range(PICARD_MAX_STEPS):
+        rhs = assemble_rhs(U0, V, K, extension_defect=defect, lin=op.lin)
         W, b = solve_linear_dirichlet(rhs, op)
         barrier = max(barrier, b)
         diff = x_norm(U0.with_values(W.values - V.values))
@@ -354,8 +348,8 @@ def picard_iterate(U0: MapField, K: float, sigma: float = 0.0,
         if diff < tol:
             converged = True
             break
-    resid = static_residual(U0, V, K, target)
-    return FixedPointState(sigma, K, U0, V, x_norm(V), tuple(steps),
+    resid = static_residual(U0, V, K)
+    return FixedPointState(U0, V, x_norm(V), tuple(steps),
                            tuple(ratios), resid, barrier, converged,
                            tuple(op.iterations))
 

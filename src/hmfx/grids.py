@@ -160,22 +160,21 @@ class RadialGrid:
         r = self.nodes[1:-1, None]
         return self.d2_weights[1:-1] + ((n - 1) / r + 0.5 * r) * self.d1_weights[1:-1]
 
-    def apply_d1(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """First derivative along ``axis`` (one-sided at both ends)."""
-        return self._apply(values, self.d1_weights, axis)
+    def apply_d1(self, values: np.ndarray) -> np.ndarray:
+        """First derivative along the leading axis (one-sided at both ends)."""
+        return self._apply(values, self.d1_weights)
 
-    def apply_d2(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Second derivative along ``axis`` (interior stencils; ends copied)."""
-        return self._apply(values, self.d2_weights, axis)
+    def apply_d2(self, values: np.ndarray) -> np.ndarray:
+        """Second derivative along the leading axis (interior stencils; ends copied)."""
+        return self._apply(values, self.d2_weights)
 
-    def _apply(self, values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-        v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    def _apply(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
         if v.shape[0] != self.size:
             raise GridError("value array does not match grid size")
         w = weights.reshape(weights.shape + (1,) * (v.ndim - 1))
         idx = self.stencil_nodes
-        out = w[:, 0] * v[idx[:, 0]] + w[:, 1] * v[idx[:, 1]] + w[:, 2] * v[idx[:, 2]]
-        return np.moveaxis(out, 0, axis)
+        return w[:, 0] * v[idx[:, 0]] + w[:, 1] * v[idx[:, 1]] + w[:, 2] * v[idx[:, 2]]
 
 
 @dataclass(frozen=True)

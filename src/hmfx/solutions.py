@@ -142,11 +142,11 @@ def from_angle(angle, name: str = "equivariant",
     return SelfSimilarSolution(name, "hm", radial, boundary_angle=boundary_angle)
 
 
-def from_shooting(result, name: str | None = None) -> SelfSimilarSolution:
+def from_shooting(result) -> SelfSimilarSolution:
     """Wrap a converged angle shooting result (n = 3 profiles only)."""
     if result.profile.n != 3:
         raise HmfxError("full-space wrappers cover the n = 3 domain only")
-    return from_angle(result.dense, name or f"corotational({result.h_inf:g})",
+    return from_angle(result.dense, f"corotational({result.h_inf:g})",
                       boundary_angle=result.h_inf)
 
 
@@ -168,7 +168,7 @@ def constant_solution() -> SelfSimilarSolution:
     return _constant_angle(0.0, "constant")
 
 
-def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSolution:
+def from_gl_profile(profile, K: float) -> SelfSimilarSolution:
     """Wrap a converged penalized (psi, phi) collocation profile, n = 3.
 
     P and Q are quintic Hermite interpolants of the node values with the
@@ -185,5 +185,5 @@ def from_gl_profile(profile, K: float, name: str | None = None) -> SelfSimilarSo
         return (*hp(r), *hq(r))
 
     h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
-    return SelfSimilarSolution(name or f"gl(K={K:g})", "gl", radial, K=K,
+    return SelfSimilarSolution(f"gl(K={K:g})", "gl", radial, K=K,
                                domain_radius=grid.r_max, boundary_angle=h_inf)

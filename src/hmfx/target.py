@@ -17,6 +17,8 @@ from .errors import GeometryDomainError, HmfxError, SingularPointError
 
 # below this ambient magnitude the sphere formulas of the plateau force fail
 AMBIENT_FLOOR = 1e-6
+# tubular radius delta of the cutoff chi
+DELTA = 0.25
 
 
 def _monotone_bridge() -> tuple[np.ndarray, np.ndarray]:
@@ -36,7 +38,7 @@ def _monotone_bridge() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TargetSphere:
-    """Round unit sphere in R^m with tubular radius ``delta`` and cutoff chi.
+    """Round unit sphere in R^m with tubular radius ``DELTA`` and cutoff chi.
 
     chi(s) = s up to delta^2, plateaus at 2*delta^2 past (2*delta)^2, and is
     bridged in between by a C^2 monotone polynomial; monotonicity and the
@@ -44,13 +46,10 @@ class TargetSphere:
     """
 
     m: int = 3
-    delta: float = 0.25
 
     def __post_init__(self):
         if self.m < 2:
             raise GeometryDomainError("ambient dimension must be >= 2")
-        if not (0.0 < self.delta < 1.0):
-            raise GeometryDomainError("tubular radius must lie in (0, 1)")
         # construction-time verification of the bridge polynomial
         s = np.linspace(self.chi_knots[0], self.chi_knots[1], 2001)
         dchi = self.chi_prime(s)
@@ -59,7 +58,7 @@ class TargetSphere:
 
     @property
     def chi_knots(self) -> tuple[float, float]:
-        return self.delta**2, 4.0 * self.delta**2
+        return DELTA**2, 4.0 * DELTA**2
 
     @cached_property
     def _bridge(self) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +69,7 @@ class TargetSphere:
         a, b = self.chi_knots
         t = np.clip((s - a) / (b - a), 0.0, 1.0)
         bridge = a + (b - a) * np.polynomial.polynomial.polyval(t, self._bridge[1])
-        return np.where(s <= a, s, np.where(s >= b, 2.0 * self.delta**2, bridge))
+        return np.where(s <= a, s, np.where(s >= b, 2.0 * DELTA**2, bridge))
 
     def chi_prime(self, s):
         s = np.asarray(s, dtype=float)
@@ -89,7 +88,7 @@ class TargetSphere:
         """Nearest-point projection u/|u|; only valid near the sphere."""
         u = np.asarray(u, dtype=float)
         r = np.linalg.norm(u, axis=-1, keepdims=True)
-        if np.any(r < 1.0 - 2.0 * self.delta):
+        if np.any(r < 1.0 - 2.0 * DELTA):
             raise GeometryDomainError("projection applied outside the tubular region")
         return u / r
 

@@ -8,7 +8,6 @@ the operator reproduces the potential itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,7 +111,6 @@ def _tangent_frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
 class CapRule:
     """Polar x azimuth product rule on the cap 1 - omega.e <= u_max.
 
@@ -120,8 +118,8 @@ class CapRule:
     times ``n_phi`` equispaced azimuths, in a frame rotated to the axis e.
     """
 
-    n_theta: int = 32
-    n_phi: int = 32
+    n_theta = 32
+    n_phi = 32
 
     @cached_property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +168,8 @@ class CaloricQuadrature:
 
     cap = 14.0
 
-    def __init__(self, n_theta: int = 32, n_phi: int = 32):
-        self.sphere = CapRule(n_theta, n_phi)
+    def __init__(self):
+        self.sphere = CapRule()
         # the radial factor is exact, one radial node per direction: the
         # benchmark tracer counts u0 evaluations per point as
         # rho.size * sphere.n_theta * sphere.n_phi

@@ -202,14 +202,14 @@ def test_criterion_05_fixed_point_scheme():
         radial, sphere = default_grids()
         # sigma = 1: the constant configuration is the exact fixed point
         const = MapField.constant(radial, sphere, [0.0, 0.0, 0.0, 1.0])
-        state1 = picard_iterate(const, K, sigma=1.0)
+        state1 = picard_iterate(const, K)
         assert state1.converged
         assert len(state1.step_norms) <= 2
         assert state1.x_norm_V < 1e-10
         # sigma = 0.9: near-constant boundary contracts
         path = path_map(corotational_map(0.1), 0.9)
         U0 = caloric_corotational_field(path, radial, sphere)
-        state = picard_iterate(U0, K, sigma=0.9)
+        state = picard_iterate(U0, K)
         assert state.converged
         assert max(state.contraction_ratios) < 1.0
         assert state.static_residual <= 1e-5 * K

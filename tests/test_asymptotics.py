@@ -123,10 +123,10 @@ def _cross_backend_errors(order: int) -> np.ndarray:
     for h in (0.05, 0.3, 1.0, 2.0, 3.0):
         exact_map = corotational_map(h)
         sampled_map = BoundaryMap("sampled", exact_map.m, exact_map.fn)
-        for build in (lambda u0, **kw: hmf_coefficients(u0, order, **kw),
-                      lambda u0, **kw: gl_coefficients(u0, 10.0, order, **kw)):
+        for build in (lambda u0: hmf_coefficients(u0, order),
+                      lambda u0: gl_coefficients(u0, 10.0, order)):
             pq = build(exact_map).coefficients
-            sampled = build(sampled_map, sphere=sphere).coefficients
+            sampled = build(sampled_map).coefficients
             for i, (p, q) in enumerate(pq):
                 expected = np.concatenate(
                     [p * w, np.full(w.shape[:-1] + (1,), q)], axis=-1)

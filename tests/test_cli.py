@@ -92,6 +92,37 @@ class TestExitCodes:
           "--set", "run.h_inf=0.1", "--set", "grid.r_max=10"), "grid.r_max"),
         (("sweep", "--set", "run.sweep_command=fixed-point",
           "--set", "grid.fp_n_theta=7"), "grid.fp_n_theta"),
+        # non-finite numbers
+        (("solve-corot", "--set", "run.h_inf=nan"), "run.h_inf"),
+        (("solve-corot", "--set", "run.h_inf=0.1", "--set", "grid.r_max=inf"),
+         "grid.r_max"),
+        (("solve-gl", "--set", "run.h_inf=nan"), "run.h_inf"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "run.K=inf"), "run.K"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "grid.r_max=nan"),
+         "grid.r_max"),
+        (("diagnose", "--set", "run.boundary=corotational(nan)"), "run.boundary"),
+        (("caloric", "--set", "run.boundary=corotational(nan)"), "run.boundary"),
+        (("asymptotics", "--set", "run.boundary=corotational(nan)"),
+         "run.boundary"),
+        # dimension, series order and GL radius
+        (("solve-corot", "--set", "run.h_inf=0.1", "--set", "run.n=2"), "run.n"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "run.n=2"), "run.n"),
+        (("asymptotics", "--set", "run.n=0"), "run.n"),
+        (("asymptotics", "--set", "run.n=1"), "run.n"),
+        (("asymptotics", "--set", "run.n=2"), "run.n"),
+        (("sweep", "--set", "run.sweep_command=asymptotics", "--set", "run.n=2"),
+         "run.n"),
+        (("asymptotics", "--set", "run.k_order=0"), "run.k_order"),
+        (("asymptotics", "--set", "run.k_order=5"), "run.k_order"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "grid.r_max=0"),
+         "grid.r_max"),
+        (("solve-gl", "--set", "run.h_inf=0.1", "--set", "grid.r_max=-1"),
+         "grid.r_max"),
+        # sweep ladder: empty, or two children writing one directory
+        (("sweep", "--set", "run.sweep_command=solve-gl", "--set", "run.h_inf=0.1",
+          "--set", "run.K_ladder="), "run.K_ladder"),
+        (("sweep", "--set", "run.sweep_command=solve-gl", "--set", "run.h_inf=0.1",
+          "--set", "run.K_ladder=10,10"), "run.K_ladder"),
     ])
     def test_bad_shooting_or_grid_value_is_config_error(
             self, tmp_path, monkeypatch, args, key):
@@ -102,6 +133,9 @@ class TestExitCodes:
             monkeypatch.setattr(cli, name, no_solve)
         for name in ("caloric_corotational_field", "picard_iterate"):
             monkeypatch.setattr(fixedpoint, name, no_solve)
+        for name in ("hmf_coefficients", "gl_coefficients"):
+            monkeypatch.setattr(cli.asymptotics, name, no_solve)
+        monkeypatch.setattr(cli.weighted.CaloricQuadrature, "extend", no_solve)
         code, _, summary = run(tmp_path, *args)
         assert code == EXIT_CONFIG
         assert summary["status"] == "config-error"
@@ -190,9 +224,7 @@ class TestFixedPointData:
 
     def test_unconverged_picard_is_solver_error(self, tmp_path, monkeypatch):
         # sigma = 0.5 needs six Picard steps; a cap of two leaves it unconverged
-        picard = fixedpoint.picard_iterate
-        monkeypatch.setattr(fixedpoint, "picard_iterate",
-                            lambda *a, **k: picard(*a, **{**k, "max_iters": 2}))
+        monkeypatch.setattr(fixedpoint, "PICARD_MAX_STEPS", 2)
         code, _, summary = run(tmp_path, "fixed-point",
                                "--set", "run.boundary=lipschitz-wedge",
                                "--set", "run.sigma=0.5")
@@ -297,6 +329,7 @@ class TestDiagnose:
         ("diag.probe_radii", ""),
         ("diag.probe_radii", "0,5"),
         ("diag.probe_radii", "-5"),
+        ("diag.probe_radii", "5,inf"),
         ("diag.mono_radii", ""),
         ("diag.mono_radii", "0.1,0.5"),
         ("diag.mono_radii", "0.2,0.1"),

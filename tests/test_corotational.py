@@ -7,12 +7,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from hmfx import corotational
-from hmfx.corotational import (continuation, gl_farfield_correction,
-                               gl_residual, hm_residual, shoot_hm,
+from hmfx.corotational import (HermiteProfile, _dense_defect, continuation,
+                               gl_farfield_correction, gl_residual, shoot_hm,
                                solve_corot, solve_gl_corot)
 from hmfx.errors import (IntegrationError, NotAttainedError,
                          ShootingDivergedError)
-from hmfx.fields import CorotationalProfile
 from hmfx.grids import RadialGrid
 
 
@@ -137,7 +136,9 @@ class TestBoundaryValueSolve:
     def test_equator_exact_branch(self):
         res = solve_corot(3, np.pi / 2.0)
         np.testing.assert_allclose(res.profile.angle, np.pi / 2.0)
-        assert hm_residual(res.profile).max() <= 1e-10
+        np.testing.assert_array_equal(res.angle_at(res.profile.grid.nodes),
+                                      np.pi / 2.0)
+        assert res.residual_sup == 0.0
 
     def test_unattainable_angle_reports_range(self):
         with pytest.raises(NotAttainedError) as err:
@@ -148,9 +149,13 @@ class TestBoundaryValueSolve:
 
 class TestResidual:
     def test_residual_flags_wrong_profile(self):
-        grid = RadialGrid.graded(10.0, 0.02)
-        wrong = CorotationalProfile(grid, 3, angle=0.3 * np.tanh(grid.nodes))
-        assert np.abs(hm_residual(wrong)[5:-5]).max() > 1e-3
+        # h = 0.3 tanh r is regular at 0 and has a limit angle, but does
+        # not solve the angle equation
+        r = np.linspace(0.0, 10.0, 401)
+        t = np.tanh(r)
+        wrong = HermiteProfile(r, 0.3 * t, 0.3 * (1.0 - t * t),
+                               -0.6 * t * (1.0 - t * t))
+        assert _dense_defect(wrong, 3, r[(r > 0.1) & (r < 9.9)]).max() > 1e-3
 
 
 class TestPenalizedSystem:
@@ -199,10 +204,10 @@ class TestPenalizedSystem:
         real_residual = corotational.gl_residual
         real_spsolve = scipy.sparse.linalg.spsolve
 
-        def residual(profile, K_, n_):
+        def residual(profile, K_):
             # the last residual before a solve is the linearized iterate
             state["iterate"] = (profile.psi.copy(), profile.phi.copy())
-            return real_residual(profile, K_, n_)
+            return real_residual(profile, K_)
 
         def spsolve(jac, rhs):
             pairs.append((jac, reference(*state["iterate"])))

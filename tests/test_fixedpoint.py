@@ -187,14 +187,14 @@ class TestPicard:
     def test_sigma_one_single_step(self, grids):
         radial, sphere = grids
         U0 = MapField.constant(radial, sphere, [0.0, 0.0, 0.0, 1.0])
-        state = picard_iterate(U0, 10.0, sigma=1.0)
+        state = picard_iterate(U0, 10.0)
         assert state.converged
         assert len(state.step_norms) <= 2
         assert state.x_norm_V < 1e-10
 
     def test_contraction_and_residual(self, U0):
         K = 10.0
-        state = picard_iterate(path_and_field(U0, 0.9), K, sigma=0.9)
+        state = picard_iterate(path_and_field(U0, 0.9), K)
         assert state.converged
         assert max(state.contraction_ratios) < 1.0
         assert state.static_residual <= 1e-5 * K
@@ -209,7 +209,7 @@ class TestPicard:
             return linearize(self, u0, K)
 
         monkeypatch.setattr(TargetSphere, "cs_linearization", counted)
-        state = picard_iterate(path_and_field(U0, 0.9), 10.0, sigma=0.9)
+        state = picard_iterate(path_and_field(U0, 0.9), 10.0)
         assert state.converged and len(state.step_norms) > 1
         assert calls == [10.0]
 
@@ -274,7 +274,7 @@ class TestRefinement:
         norms = []
         for nt in (8, 16, 32):
             U0 = caloric_corotational_field(path, radial, SphereGrid(nt, 2 * nt))
-            state = picard_iterate(U0, K, sigma=0.5)
+            state = picard_iterate(U0, K)
             assert state.converged
             assert state.static_residual <= bound
             norms.append(state.x_norm_V)
