@@ -22,7 +22,7 @@ from hmfx.corotational import shoot_hm
 from hmfx.diagnostics import (bochner_check, energy_inequality_report,
                               eps_regularity_scan, monotonicity_table,
                               pohozaev_residual)
-from hmfx.solutions import equator_solution, from_shooting
+from hmfx.solutions import equator_solution
 
 
 def main():

@@ -18,44 +18,9 @@ import numpy as np
 
 from .boundary import BoundaryMap
 from .errors import GridError, HmfxError
-from .fields import _pole_extended, _spectral_derivative, sphere_partials
 from .grids import SphereGrid
 
 MAX_ORDER = 4
-
-
-# ---------------------------------------------------------------------------
-# sphere operators
-
-
-def sphere_laplacian(values: np.ndarray, sphere: SphereGrid) -> np.ndarray:
-    """Laplace-Beltrami of samples shaped (..., n_theta, n_phi, m) on S^2.
-
-    Spectral in both angles via the pole extension, so exact for low
-    spherical harmonics up to the (tiny) aliasing of the meridian series.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-3] != sphere.n_theta or values.shape[-2] != sphere.n_phi:
-        raise GridError("samples do not match the sphere grid")
-    ext = _pole_extended(values)
-    d1t = _spectral_derivative(ext, axis=-3, period=2.0 * np.pi)
-    d2t = _spectral_derivative(d1t, axis=-3, period=2.0 * np.pi)
-    d1t = d1t[..., : sphere.n_theta, :, :]
-    d2t = d2t[..., : sphere.n_theta, :, :]
-    d1p = _spectral_derivative(values, axis=-2, period=2.0 * np.pi)
-    d2p = _spectral_derivative(d1p, axis=-2, period=2.0 * np.pi)
-    st = np.sin(sphere.theta)[:, None, None]
-    ct = np.cos(sphere.theta)[:, None, None]
-    return d2t + (ct / st) * d1t + d2p / st**2
-
-
-def sphere_gradient_inner(a: np.ndarray, b: np.ndarray,
-                          sphere: SphereGrid) -> np.ndarray:
-    """Pointwise <grad_S a, grad_S b>, summed over the target components."""
-    at, ap = sphere_partials(np.asarray(a, dtype=float), sphere)
-    bt, bp = sphere_partials(np.asarray(b, dtype=float), sphere)
-    st2 = np.sin(sphere.theta)[:, None, None] ** 2
-    return (at * bt).sum(axis=-1) + (ap * bp).sum(axis=-1) / st2[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +90,8 @@ def _backend(u0: BoundaryMap, k: int, sphere: SphereGrid | None, n: int):
         raise GridError(f"{u0.name} is sampled on S^2, which needs n = 3 "
                         f"(got n = {n}); only corotational data takes any n")
     sphere = sphere if sphere is not None else SphereGrid()
-    return (u0.sphere_samples(sphere),
-            lambda u: sphere_laplacian(u, sphere),
-            lambda a, b: sphere_gradient_inner(a, b, sphere), sphere)
+    return (u0.sphere_samples(sphere), sphere.laplacian, sphere.gradient_inner,
+            sphere)
 
 
 def hmf_coefficients(u0: BoundaryMap, k: int,

@@ -21,7 +21,8 @@ import numpy as np
 from . import asymptotics, diagnostics, fixedpoint, solutions, weighted
 from .boundary import builtin_boundary
 from .config import RunConfig
-from .corotational import MIN_TRUNCATION_RADIUS, solve_corot, solve_gl_corot
+from .corotational import (MIN_TRUNCATION_RADIUS, profile_grid, solve_corot,
+                           solve_gl_corot)
 from .errors import (ConfigError, GridError, HmfxError, NonconvergenceError,
                      NotAttainedError, PartialResultError)
 from .fields import save_field_csv, save_profile_csv, write_csv
@@ -126,7 +127,7 @@ def cmd_solve_gl(cfg: RunConfig, out: pathlib.Path) -> dict:
     h_inf = cfg.get_float("run.h_inf")
     r_max = _checked_float(cfg, "grid.r_max", lambda r: r > 0.0, "be positive")
     profile, info = solve_gl_corot(
-        n, K, np.sin(h_inf), np.cos(h_inf), r_max=r_max,
+        n, K, np.sin(h_inf), np.cos(h_inf), grid=profile_grid(r_max),
         tol=_checked_tolerance(cfg, "tol.newton"))
     save_profile_csv(profile, out / "profile.csv")
     return {

@@ -44,7 +44,7 @@ _GL_MAX_ITER = 60
 
 
 @lru_cache(maxsize=8)
-def _profile_grid(r_max: float) -> RadialGrid:
+def profile_grid(r_max: float) -> RadialGrid:
     """The graded profile grid on [0, r_max], built once per radius."""
     return RadialGrid.graded(r_max, 0.02)
 
@@ -182,7 +182,7 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0) -> ShootingResult:
     if r_max < MIN_TRUNCATION_RADIUS:
         raise GridError(
             f"truncation radius must be at least {MIN_TRUNCATION_RADIUS:g}")
-    grid = _profile_grid(r_max)
+    grid = profile_grid(r_max)
     if slope == 0.0:
         return _constant_branch(n, 0.0, grid)
 
@@ -245,7 +245,7 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
     counts of the whole search.
     """
     if abs(np.sin(2.0 * h_inf)) < 1e-14:
-        return _constant_branch(n, h_inf, _profile_grid(r_max))
+        return _constant_branch(n, h_inf, profile_grid(r_max))
     target = abs(h_inf)
     shots: list[ShootingResult] = []
 
@@ -353,21 +353,22 @@ def _gl_initial_guess(grid: RadialGrid, n: int, K: float,
 
 
 def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
-                   r_max: float = 40.0, grid: RadialGrid | None = None,
+                   grid: RadialGrid | None = None,
                    initial: CorotationalProfile | None = None,
                    tol: float = 1e-9) -> tuple[CorotationalProfile, GlSolveInfo]:
     """Damped-Newton collocation for the penalized equivariant system.
 
-    Boundary conditions: psi(0) = 0, phi'(0) = 0, and far-field values at
-    r_max corrected by the order-1 series (removes the O(r_max^-2)
-    truncation bias).  The step is halved until the residual decreases,
-    at most 30 times, in each of at most 60 Newton steps.
+    The default grid is ``profile_grid(40)``.  Boundary conditions:
+    psi(0) = 0, phi'(0) = 0, and far-field values at r_max corrected by
+    the order-1 series (removes the O(r_max^-2) truncation bias).  The
+    step is halved until the residual decreases, at most 30 times, in each
+    of at most 60 Newton steps.
     """
     if K <= 0:
         raise GridError("penalty strength K must be positive")
     if abs(psi_inf**2 + phi_inf**2 - 1.0) > 1e-10:
         raise GridError("far-field values must lie on the unit circle")
-    grid = grid if grid is not None else _profile_grid(r_max)
+    grid = grid if grid is not None else profile_grid(40.0)
     N = grid.size
     r = grid.nodes[1:-1]
     d1w = grid.d1_weights

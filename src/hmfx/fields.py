@@ -3,9 +3,8 @@
 A :class:`MapField` stores vectors in R^m at every (r, theta, phi) node of
 a 3-dimensional ball; the node at r = 0 is a single physical point whose
 value is replicated across the angular slots.  Angular derivatives are
-taken spectrally (the field extended over the poles is periodic on the
-meridian great circle), radial derivatives by 3-point stencils, which
-makes the gradient exact for affine fields.
+the sphere grid's spectral partials, radial derivatives 3-point
+stencils, which makes the gradient exact for affine fields.
 """
 
 from __future__ import annotations
@@ -133,44 +132,6 @@ class CorotationalProfile:
 
 
 # ---------------------------------------------------------------------------
-# angular spectral derivatives
-
-
-def _pole_extended(values: np.ndarray) -> np.ndarray:
-    """Extend (..., n_theta, n_phi, m) samples over the poles.
-
-    Along a meridian the map is periodic with period 2*pi once the
-    antipodal longitude is used past the pole; the extension doubles the
-    theta axis onto a uniform periodic grid.
-    """
-    n_phi = values.shape[-2]
-    flipped = values[..., ::-1, :, :]
-    flipped = np.roll(flipped, n_phi // 2, axis=-2)
-    return np.concatenate([values, flipped], axis=-3)
-
-
-def _spectral_derivative(values: np.ndarray, axis: int, period: float) -> np.ndarray:
-    v = np.moveaxis(values, axis, -1)
-    n = v.shape[-1]
-    k = np.fft.rfftfreq(n, d=1.0 / n) * (2.0 * np.pi / period)
-    vh = np.fft.rfft(v, axis=-1)
-    vh *= 1j * k
-    if n % 2 == 0:
-        vh[..., -1] = 0.0  # drop the unpaired Nyquist mode
-    dv = np.fft.irfft(vh, n=n, axis=-1)
-    return np.moveaxis(dv, -1, axis)
-
-
-def sphere_partials(values: np.ndarray, sphere: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral (d/dtheta, d/dphi) of samples shaped (..., n_theta, n_phi, m)."""
-    ext = _pole_extended(values)
-    d_theta = _spectral_derivative(ext, axis=-3, period=2.0 * np.pi)
-    d_theta = d_theta[..., : sphere.n_theta, :, :]
-    d_phi = _spectral_derivative(values, axis=-2, period=2.0 * np.pi)
-    return d_theta, d_phi
-
-
-# ---------------------------------------------------------------------------
 # gradient
 
 
@@ -201,7 +162,7 @@ def gradient(field: MapField) -> np.ndarray:
         raise GridError("gradient needs at least 3 radial nodes")
     sph = field.sphere
     du_dr = field.radial.apply_d1(field.values)
-    d_th, d_ph = sphere_partials(field.values, sph)
+    d_th, d_ph = sph.partials(field.values)
 
     st = np.sin(sph.theta)[:, None]
     ct = np.cos(sph.theta)[:, None]

@@ -15,7 +15,6 @@ once per (U0, K), as the preconditioner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse.linalg
@@ -34,9 +33,6 @@ LINEAR_RTOL = 1e-12
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 10
 PICARD_MAX_STEPS = 40
-
-# one target per ambient dimension: construction verifies the cutoff bridge
-_target = lru_cache(maxsize=None)(TargetSphere)
 
 
 def default_grids() -> tuple[RadialGrid, SphereGrid]:
@@ -113,7 +109,7 @@ def assemble_Q(U0: MapField, V: MapField, K: float, lin=None) -> MapField:
     the operator side.  ``lin`` is that linearization when the caller
     already holds it (``LinearizedOperator.lin``).
     """
-    target = _target(m=U0.m)
+    target = TargetSphere()
     if lin is None:
         *_, lin = target.cs_linearization(U0.values, K)
     full = target.cs_force(U0.values + V.values, K)
@@ -143,38 +139,29 @@ class SeparableInverse:
     """Exact inverse of Delta_f - S for a constant symmetric m x m matrix S.
 
     Same stencils and zero outer shell as ``weighted_laplacian_field``.
-    The eigenbasis of S decouples the components into Delta_f - mu; a real
-    FFT in phi leaves one theta operator per phi mode, symmetric under the
-    sqrt(sin theta) similarity, and its eigenvectors leave one radial
-    tridiagonal system per (phi mode, theta eigenvalue).  The origin only
-    sees the constant sphere mode, through the shell mean: it is row 0 of
-    that mode's radial system and an identity row in every other mode.
+    The eigenbasis of S decouples the components into Delta_f - mu, and
+    the sphere stencil's eigenmodes (``SphereGrid.stencil_modes``) leave
+    one radial tridiagonal system per (phi mode, theta eigenvalue).  The
+    origin only sees the constant sphere mode, through the shell mean: it
+    is row 0 of that mode's radial system and an identity row in every
+    other mode.
     """
 
     def __init__(self, radial: RadialGrid, sphere: SphereGrid, n: int,
                  shift: np.ndarray):
-        nt, nph = sphere.n_theta, sphere.n_phi
-        dt, dp = sphere.d_theta, sphere.d_phi
-        sin_c = np.sin(sphere.theta)
-        faces = sphere.face_sines / dt**2  # rows j, j + 1
-        main = -(np.append(faces, 0.0) + np.insert(faces, 0, 0.0)) / sin_c
-        off = faces / np.sqrt(sin_c[:-1] * sin_c[1:])
-        phi_eig = (2.0 * np.cos(dp * np.arange(nph // 2 + 1)) - 2.0) / dp**2
-        ops = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-               + phi_eig[:, None, None] * np.diag(sin_c**-2.0))
-        lam, self._Q = np.linalg.eigh(ops)  # ascending: the constant is last
-        self._s = np.sqrt(sin_c)
+        lam, self._Q, self._s = sphere.stencil_modes
         # a constant shell value v0 has coefficient alpha * v0 in the
-        # constant mode, and the shell mean is that coefficient / alpha
-        self._alpha = nph * float(self._Q[0, :, -1] @ self._s)
-        self._n_phi = nph
+        # constant mode (the last of k = 0), and the shell mean is that
+        # coefficient / alpha
+        self._alpha = sphere.n_phi * float(self._Q[0, :, -1] @ self._s)
+        self._n_phi = sphere.n_phi
 
         mu, self._P = np.linalg.eigh(shift)
         r = radial.nodes[1:-1]
         rad = radial.drift_weights(n)
         coeff0 = 2.0 * n / radial.nodes[1] ** 2
         rows = np.arange(1, radial.size - 1)  # row 0 is the origin slot
-        mats = np.zeros((phi_eig.size, nt, mu.size, rows.size + 1, rows.size + 1))
+        mats = np.zeros(lam.shape + (mu.size, rows.size + 1, rows.size + 1))
         mats[..., rows, rows - 1] = rad[:, 0]
         mats[..., rows, rows] = rad[:, 1] + lam[:, :, None, None] / r**2 - mu[:, None]
         mats[..., rows[:-1], rows[:-1] + 1] = rad[:-1, 2]
@@ -216,7 +203,7 @@ class LinearizedOperator:
         if K <= 0:
             raise GridError("penalty strength K must be positive")
         self.U0 = U0
-        chi0, uhat, self.lin = _target(m=U0.m).cs_linearization(U0.values, K)
+        chi0, uhat, self.lin = TargetSphere().cs_linearization(U0.values, K)
         N, nt, nph, m = self._shape = U0.values.shape
         self.n_unknown = m + (N - 2) * nt * nph * m
         self.iterations: list[int] = []  # GMRES iterations per solve
@@ -308,7 +295,7 @@ def static_residual(U0: MapField, V: MapField, K: float) -> float:
     """
     total = U0.with_values(U0.values + V.values)
     lap = weighted_laplacian_field(total)
-    res = lap.values - _target(m=U0.m).cs_force(total.values, K)
+    res = lap.values - TargetSphere().cs_force(total.values, K)
     return float(np.abs(res[:-1]).max())
 
 

@@ -4,13 +4,16 @@ The radial grid is uniform on [0, 1] and geometrically stretched beyond,
 with the adjacent spacing ratio kept in [1, 1.2] so far-field windows out
 to r ~ 100 stay affordable.  The sphere grid is a cell-centered
 latitude-longitude mesh on S^2 whose band weights integrate the area
-element exactly (quadrature of 1 gives 4*pi to rounding).  Gauss-Legendre
-rules are computed once per node count and shared read-only.
+element exactly (quadrature of 1 gives 4*pi to rounding); it owns both
+discretizations of S^2: spectral derivatives on the pole-extended grid,
+and the conservative lat-long stencil with its eigenmodes.
+Gauss-Legendre rules are computed once per node count and shared
+read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -177,13 +180,26 @@ class RadialGrid:
         return w[:, 0] * v[idx[:, 0]] + w[:, 1] * v[idx[:, 1]] + w[:, 2] * v[idx[:, 2]]
 
 
+def _fft_derivative(values: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral derivative along a 2*pi-periodic axis of an even number of
+    uniform samples; the unpaired Nyquist mode is dropped."""
+    v = np.moveaxis(values, axis, -1)
+    n = v.shape[-1]
+    vh = np.fft.rfft(v, axis=-1)
+    vh *= 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    vh[..., -1] = 0.0
+    dv = np.fft.irfft(vh, n=n, axis=-1)
+    return np.moveaxis(dv, -1, axis)
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Cell-centered lat-long nodes on S^2; poles are excluded.
 
     Band weights use the exact area of each latitude band, so the weights
     sum to 4*pi to rounding.  Pole values, where needed, are the mean of
-    the adjacent latitude row.
+    the adjacent latitude row.  Sample arrays are shaped
+    (..., n_theta, n_phi, m), with the target component last.
     """
 
     n_theta: int = 24
@@ -245,3 +261,79 @@ class SphereGrid:
 
     def mean(self, samples: np.ndarray) -> np.ndarray:
         return self.integrate(samples) / (4.0 * np.pi)
+
+    def _samples(self, values) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
+        if v.shape[-3:-1] != (self.n_theta, self.n_phi):
+            raise GridError("samples do not match the sphere grid")
+        return v
+
+    def _theta_derivative(self, v: np.ndarray) -> np.ndarray:
+        """Spectral d/dtheta on all 2 n_theta rows of the pole extension: past
+        the pole the antipodal longitude continues each meridian into a
+        2*pi-periodic great circle, sampled uniformly."""
+        flipped = np.roll(v[..., ::-1, :, :], self.n_phi // 2, axis=-2)
+        return _fft_derivative(np.concatenate([v, flipped], axis=-3), axis=-3)
+
+    def partials(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral (d/dtheta, d/dphi) of samples."""
+        v = self._samples(values)
+        return (self._theta_derivative(v)[..., : self.n_theta, :, :],
+                _fft_derivative(v, axis=-2))
+
+    def laplacian(self, values) -> np.ndarray:
+        """Spectral Laplace-Beltrami of samples, exact for low spherical
+        harmonics up to the (tiny) aliasing of the meridian series."""
+        v = self._samples(values)
+        d1t = self._theta_derivative(v)
+        d2t = _fft_derivative(d1t, axis=-3)[..., : self.n_theta, :, :]
+        d2p = _fft_derivative(_fft_derivative(v, axis=-2), axis=-2)
+        st = np.sin(self.theta)[:, None, None]
+        ct = np.cos(self.theta)[:, None, None]
+        return d2t + (ct / st) * d1t[..., : self.n_theta, :, :] + d2p / st**2
+
+    def gradient_inner(self, a, b) -> np.ndarray:
+        """Pointwise <grad_S a, grad_S b>, summed over the target components."""
+        at, ap = self.partials(a)
+        bt, bp = self.partials(b)
+        st2 = np.sin(self.theta)[:, None] ** 2
+        return (at * bt).sum(axis=-1) + (ap * bp).sum(axis=-1) / st2
+
+    def stencil_laplacian(self, values) -> np.ndarray:
+        """Conservative second-order lat-long Laplace-Beltrami of samples.
+
+        The theta part is the difference of the fluxes sin(theta) dv/dtheta
+        through each row's two latitude faces; the pole faces carry no flux
+        (sin(theta) = 0 there), so the coordinate singularity needs no ghost
+        values.
+        """
+        v = self._samples(values)
+        dt, dp = self.d_theta, self.d_phi
+        sin_c = np.sin(self.theta)[:, None, None]
+        flux = self.face_sines[:, None, None] * (np.diff(v, axis=-3) / dt)
+        lap_theta = np.diff(flux, axis=-3, prepend=0.0, append=0.0) / (sin_c * dt)
+        lap_phi = (np.roll(v, -1, axis=-2) - 2.0 * v + np.roll(v, 1, axis=-2)) \
+            / (sin_c**2 * dp**2)
+        return lap_theta + lap_phi
+
+    @cached_property
+    def stencil_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenmodes (lam, Q, s) of ``stencil_laplacian``, one set per
+        real-FFT phi mode k = 0 .. n_phi / 2.
+
+        A real FFT in phi leaves one theta operator per mode; the similarity
+        s = sqrt(sin theta) makes it symmetric, and Q[k] holds its
+        orthonormal eigenvectors, eigenvalues lam[k] ascending (the constant
+        is the last mode of k = 0).  The field Q[k][:, j] / s times cos(k phi)
+        or sin(k phi) is an eigenfunction of the stencil with value lam[k, j].
+        """
+        dt, dp = self.d_theta, self.d_phi
+        sin_c = np.sin(self.theta)
+        faces = self.face_sines / dt**2  # rows j, j + 1
+        main = -(np.append(faces, 0.0) + np.insert(faces, 0, 0.0)) / sin_c
+        off = faces / np.sqrt(sin_c[:-1] * sin_c[1:])
+        phi_eig = (2.0 * np.cos(dp * np.arange(self.n_phi // 2 + 1)) - 2.0) / dp**2
+        ops = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+               + phi_eig[:, None, None] * np.diag(sin_c**-2.0))
+        lam, Q = np.linalg.eigh(ops)
+        return lam, Q, np.sqrt(sin_c)

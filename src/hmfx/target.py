@@ -8,9 +8,6 @@ module is safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import GeometryDomainError, HmfxError, SingularPointError
@@ -28,54 +25,47 @@ def _monotone_bridge() -> tuple[np.ndarray, np.ndarray]:
     (1 + 3t - 4t^2)(1 - t)^3: non-negative, 1 with zero slope at t = 0,
     and vanishing to second order at t = 1, with integral exactly 1/3
     (the value rise of chi over the bridge in units of its width).
-    Returns monomial coefficients of (derivative, antiderivative).
+    Returns monomial coefficients of (derivative, antiderivative) once
+    0 <= derivative <= 1.5 is verified on 2001 points.
     """
     poly = np.polynomial.polynomial
     dcoef = poly.polymul([1.0, 3.0, -4.0], poly.polypow([1.0, -1.0], 3))
-    icoef = poly.polyint(dcoef)
-    return dcoef, icoef
+    dchi = poly.polyval(np.linspace(0.0, 1.0, 2001), dcoef)
+    if np.any(dchi < -1e-12) or np.any(dchi > 1.5 + 1e-12):
+        raise HmfxError("cutoff bridge violates 0 <= chi' <= 1.5")
+    return dcoef, poly.polyint(dcoef)
 
 
-@dataclass(frozen=True)
+# verified once per process, when the module is imported
+_BRIDGE_PRIME, _BRIDGE = _monotone_bridge()
+
+
 class TargetSphere:
-    """Round unit sphere in R^m with tubular radius ``DELTA`` and cutoff chi.
+    """Round unit sphere in R^m, for any m, with tubular radius ``DELTA``
+    and cutoff chi.
 
     chi(s) = s up to delta^2, plateaus at 2*delta^2 past (2*delta)^2, and is
     bridged in between by a C^2 monotone polynomial; monotonicity and the
-    derivative bound chi' <= 1.5 are verified at construction.
+    derivative bound chi' <= 1.5 are verified once, when the module is
+    imported.  The ambient dimension m is the last axis of each argument.
     """
-
-    m: int = 3
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise GeometryDomainError("ambient dimension must be >= 2")
-        # construction-time verification of the bridge polynomial
-        s = np.linspace(self.chi_knots[0], self.chi_knots[1], 2001)
-        dchi = self.chi_prime(s)
-        if np.any(dchi < -1e-12) or np.any(dchi > 1.5 + 1e-12):
-            raise HmfxError("cutoff bridge violates 0 <= chi' <= 1.5")
 
     @property
     def chi_knots(self) -> tuple[float, float]:
         return DELTA**2, 4.0 * DELTA**2
 
-    @cached_property
-    def _bridge(self) -> tuple[np.ndarray, np.ndarray]:
-        return _monotone_bridge()
-
     def chi(self, s):
         s = np.asarray(s, dtype=float)
         a, b = self.chi_knots
         t = np.clip((s - a) / (b - a), 0.0, 1.0)
-        bridge = a + (b - a) * np.polynomial.polynomial.polyval(t, self._bridge[1])
+        bridge = a + (b - a) * np.polynomial.polynomial.polyval(t, _BRIDGE)
         return np.where(s <= a, s, np.where(s >= b, 2.0 * DELTA**2, bridge))
 
     def chi_prime(self, s):
         s = np.asarray(s, dtype=float)
         a, b = self.chi_knots
         t = np.clip((s - a) / (b - a), 0.0, 1.0)
-        bridge = np.polynomial.polynomial.polyval(t, self._bridge[0])
+        bridge = np.polynomial.polynomial.polyval(t, _BRIDGE_PRIME)
         return np.where(s <= a, 1.0, np.where(s >= b, 0.0, bridge))
 
     # -- distance and projection ------------------------------------------

@@ -53,26 +53,6 @@ def weighted_laplacian_profile(values: np.ndarray, grid: RadialGrid, n: int) -> 
     return out
 
 
-def _sphere_laplacian_stencil(values: np.ndarray, sphere: SphereGrid) -> np.ndarray:
-    """Conservative second-order lat-long Laplace-Beltrami on S^2.
-
-    The theta part is the difference of the fluxes sin(theta) dv/dtheta
-    through each row's two latitude faces; the pole faces carry no flux
-    (sin(theta) = 0 there), so the coordinate singularity needs no ghost
-    values.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape[-3:-1] != (sphere.n_theta, sphere.n_phi):
-        raise GridError("samples do not match the sphere grid")
-    dt, dp = sphere.d_theta, sphere.d_phi
-    sin_c = np.sin(sphere.theta)[:, None, None]
-    flux = sphere.face_sines[:, None, None] * (np.diff(v, axis=-3) / dt)
-    lap_theta = np.diff(flux, axis=-3, prepend=0.0, append=0.0) / (sin_c * dt)
-    lap_phi = (np.roll(v, -1, axis=-2) - 2.0 * v + np.roll(v, 1, axis=-2)) \
-        / (sin_c**2 * dp**2)
-    return lap_theta + lap_phi
-
-
 def weighted_laplacian_field(field: MapField) -> MapField:
     """Delta_f of a full map field, second-order conservative stencils.
 
@@ -83,7 +63,7 @@ def weighted_laplacian_field(field: MapField) -> MapField:
     r = field.radial.nodes
     v = field.values
     out = weighted_laplacian_profile(v, field.radial, n)
-    out[1:] += (_sphere_laplacian_stencil(v[1:], field.sphere)
+    out[1:] += (field.sphere.stencil_laplacian(v[1:])
                 / r[1:, None, None, None] ** 2)
     # origin: single physical point; Delta u(0) ~ 2n (mean_shell - u(0)) / r1^2
     shell_mean = field.sphere.mean(v[1])

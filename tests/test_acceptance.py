@@ -4,19 +4,17 @@ Each test appends a single pass/fail line to the terminal summary (see
 conftest) including its wall-clock time against the stated budget.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 import conftest
 from conftest import loglog_slope
 
 from hmfx.asymptotics import (gl_coefficients, hmf_coefficients,
                               rate_classify, sup_deviation)
-from hmfx.boundary import (constant_map, corotational_map, equator_map,
-                           identity_sphere_map, lipschitz_wedge_map)
+from hmfx.boundary import (corotational_map, equator_map, identity_sphere_map,
+                           lipschitz_wedge_map)
 from hmfx.cli import main as cli_main
 from hmfx.corotational import gl_residual, solve_corot, solve_gl_corot
 from hmfx.diagnostics import (energy_inequality_report, eps_regularity_scan,

@@ -1,39 +1,15 @@
 import numpy as np
 import pytest
 
-from hmfx.asymptotics import (MAX_ORDER, AsymptoticSeries, gl_coefficients,
-                              hmf_coefficients, rate_classify,
-                              series_ode_residual, sphere_gradient_inner,
-                              sphere_laplacian, sup_deviation)
+from hmfx.asymptotics import (MAX_ORDER, gl_coefficients, hmf_coefficients,
+                              rate_classify, series_ode_residual,
+                              sup_deviation)
 from hmfx.boundary import (BoundaryMap, corotational_map, equator_map,
                            identity_sphere_map, lipschitz_wedge_map)
 from hmfx.errors import GridError
 from hmfx.grids import SphereGrid
 
 from conftest import loglog_slope
-
-
-class TestSphereOperators:
-    def test_degree_one_harmonic_eigenvalue(self):
-        # restriction of a linear function is an eigenfunction: -2 z
-        s = SphereGrid(16, 32)
-        z = s.directions[..., 2:3]
-        np.testing.assert_allclose(sphere_laplacian(z, s), -2.0 * z,
-                                   atol=1e-10)
-
-    def test_identity_map_laplacian(self):
-        # Delta_S omega = -2 omega componentwise
-        s = SphereGrid(16, 32)
-        w = s.directions
-        np.testing.assert_allclose(sphere_laplacian(w, s), -2.0 * w,
-                                   atol=1e-10)
-
-    def test_gradient_inner_identity_map(self):
-        # |grad_S omega|^2 = 2
-        s = SphereGrid(16, 32)
-        w = s.directions
-        np.testing.assert_allclose(sphere_gradient_inner(w, w, s), 2.0,
-                                   atol=1e-10)
 
 
 class TestEquivariantCoefficients:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from hmfx.corotational import solve_corot, solve_gl_corot
+from hmfx.corotational import profile_grid, solve_corot, solve_gl_corot
 from hmfx.diagnostics import (bochner_check, boundary_local_energy,
                               energy_inequality_report, eps_regularity_scan,
                               gaussian_integral, local_energy,
@@ -33,7 +33,7 @@ def corot():
 @pytest.fixture(scope="module")
 def gl():
     profile, _ = solve_gl_corot(3, 10.0, np.sin(0.2), np.cos(0.2),
-                                r_max=20.0)
+                                grid=profile_grid(20.0))
     return from_gl_profile(profile, 10.0)
 
 

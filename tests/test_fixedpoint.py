@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hmfx import fixedpoint
-from hmfx.boundary import constant_map, corotational_map
+from hmfx.boundary import corotational_map
 from hmfx.cli import EXIT_OK, main
 from hmfx.config import RunConfig
-from hmfx.corotational import solve_gl_corot
+from hmfx.corotational import profile_grid, solve_gl_corot
 from hmfx.errors import LinearSolveError
 from hmfx.fields import MapField, x_norm
 from hmfx.fixedpoint import (LinearizedOperator, assemble_Q, assemble_rhs,
@@ -167,7 +167,7 @@ class TestPlateauForce:
         K = 10.0
         base = U0.with_values(U0.values + 0.05 * rng.standard_normal(U0.values.shape))
         V = U0.with_values(0.2 * rng.standard_normal(U0.values.shape))
-        chi_prime = TargetSphere(m=4).chi_prime
+        chi_prime = TargetSphere().chi_prime
 
         def factors(u):
             mag = np.linalg.norm(u, axis=-1)
@@ -219,7 +219,7 @@ class TestPicard:
         state = picard_iterate(U0, K)
         sol = state.U0.with_values(state.U0.values + state.V.values)
         profile, _ = solve_gl_corot(3, K, np.sin(0.1), np.cos(0.1),
-                                    r_max=state.U0.radial.r_max)
+                                    grid=profile_grid(state.U0.radial.r_max))
         # compare the polar-axis angle
         axis = sol.values[1:-1, 0, 0]
         r = state.U0.radial.nodes[1:-1]

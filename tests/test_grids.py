@@ -95,6 +95,47 @@ class TestSphereGrid:
         assert errs[2] < errs[0]
 
 
+class TestSphereOperators:
+    def test_degree_one_harmonic_eigenvalue(self):
+        # restriction of a linear function is an eigenfunction: -2 z
+        s = SphereGrid(16, 32)
+        z = s.directions[..., 2:3]
+        np.testing.assert_allclose(s.laplacian(z), -2.0 * z, atol=1e-10)
+
+    def test_identity_map_laplacian(self):
+        # Delta_S omega = -2 omega componentwise
+        s = SphereGrid(16, 32)
+        w = s.directions
+        np.testing.assert_allclose(s.laplacian(w), -2.0 * w, atol=1e-10)
+
+    def test_gradient_inner_identity_map(self):
+        # |grad_S omega|^2 = 2
+        s = SphereGrid(16, 32)
+        w = s.directions
+        np.testing.assert_allclose(s.gradient_inner(w, w), 2.0, atol=1e-10)
+
+    @pytest.mark.parametrize("k, j", [(0, 0), (0, 6), (1, 0), (1, 11),
+                                      (4, 5), (12, 3)])
+    def test_stencil_modes_diagonalize_the_stencil(self, k, j):
+        s = SphereGrid(12, 24)
+        lam, Q, root_sin = s.stencil_modes
+        assert lam.shape == (s.n_phi // 2 + 1, s.n_theta)
+        v = (Q[k][:, j] / root_sin)[:, None, None] * np.cos(k * s.phi)[None, :, None]
+        expect = lam[k, j] * v
+        err = np.abs(s.stencil_laplacian(v) - expect).max()
+        assert err <= 1e-10 * np.abs(expect).max()
+        # the constant is the last mode of k = 0
+        assert abs(lam[0, -1]) <= 1e-10 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("method", ["partials", "laplacian",
+                                        "gradient_inner", "stencil_laplacian"])
+    def test_samples_of_another_grid_are_rejected(self, method):
+        samples = SphereGrid(16, 32).directions
+        args = (samples,) * (2 if method == "gradient_inner" else 1)
+        with pytest.raises(GridError):
+            getattr(SphereGrid(8, 16), method)(*args)
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [6, 16, 32])
     def test_cached_rule_is_leggauss_read_only(self, n):

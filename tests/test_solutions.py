@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hmfx.corotational import solve_corot, solve_gl_corot
+from hmfx.corotational import profile_grid, solve_corot, solve_gl_corot
 from hmfx.errors import DomainExceededError, TimeOrderError
 from hmfx.grids import RadialGrid
 from hmfx.solutions import (constant_solution, equator_solution, from_angle,
@@ -101,7 +101,7 @@ class TestWrappers:
 
     def test_gl_profile_wrapper_domain(self):
         profile, _ = solve_gl_corot(3, 10.0, np.sin(0.2), np.cos(0.2),
-                                    r_max=20.0)
+                                    grid=profile_grid(20.0))
         sol = from_gl_profile(profile, 10.0)
         assert sol.K == 10.0
         with pytest.raises(DomainExceededError):
@@ -116,7 +116,8 @@ class TestWrappers:
         # the Hermite wrapper of the default grid's solve against a solve on
         # a 10x finer grid: both errors are the coarse collocation's own
         psi_inf, phi_inf = np.sin(0.2), np.cos(0.2)
-        profile, _ = solve_gl_corot(3, 10.0, psi_inf, phi_inf, r_max=20.0)
+        profile, _ = solve_gl_corot(3, 10.0, psi_inf, phi_inf,
+                                    grid=profile_grid(20.0))
         sol = from_gl_profile(profile, 10.0)
         grid = RadialGrid.graded(20.0, 0.002, 1.005)
         fine, _ = solve_gl_corot(3, 10.0, psi_inf, phi_inf, grid=grid)
