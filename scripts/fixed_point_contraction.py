@@ -3,8 +3,9 @@
 
 Runs the Picard iteration on the caloric first approximation of a
 corotational boundary map for a path of boundary-shrinking parameters
-sigma, reporting contraction ratios, the final static-equation residual
-and the weighted decay of the correction.
+sigma, reporting contraction ratios, the GMRES iterations of each
+Picard step's linear solve, the final static-equation residual and the
+weighted decay of the correction.
 """
 
 import argparse
@@ -37,6 +38,8 @@ def main():
         print(f"sigma={sigma:4.2f}  steps={len(state.step_norms)}  "
               f"q=[{ratios}]  |V|_x={state.x_norm_V:.3e}  "
               f"static residual={state.static_residual:.3e}")
+        print(f"            GMRES iterations per step: "
+              f"{list(state.linear_iterations)}")
         print(f"            decay slopes: value {_slope(decay.value_slope)}, "
               f"gradient {_slope(decay.gradient_slope)}; "
               f"sup f|V|={decay.sup_fV:.3e}")

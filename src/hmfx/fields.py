@@ -186,6 +186,32 @@ def gradient(field: MapField) -> np.ndarray:
     return grad
 
 
+def gradient_norm(field: MapField) -> np.ndarray:
+    """|grad u| per node, shape (Nr, n_theta, n_phi): the Frobenius norm of
+    ``gradient(field)``, formed from the frame derivatives,
+
+        sqrt(|d_r u|^2 + |d_theta u|^2 / r^2 + |d_phi u|^2 / (r sin theta)^2),
+
+    without building the (Nr, n_theta, n_phi, 3, m) tensor.  The origin
+    row is the norm of ``_origin_gradient``.
+    """
+    if field.radial.size < 3:
+        raise GridError("gradient needs at least 3 radial nodes")
+    sph = field.sphere
+    du_dr = field.radial.apply_d1(field.values)[1:]
+    d_th, d_ph = (d[1:] for d in sph.partials(field.values))
+    r = field.radial.nodes[1:, None, None]
+    r_st = r * np.sin(sph.theta)[:, None]
+    sq = np.empty(field.values.shape[:3])
+    sq[1:] = ((du_dr * du_dr).sum(axis=-1)
+              + (d_th * d_th).sum(axis=-1) / (r * r)
+              + (d_ph * d_ph).sum(axis=-1) / (r_st * r_st))
+    sq[0] = (_origin_gradient(field) ** 2).sum()
+    if not np.all(np.isfinite(sq)):
+        raise HmfxError("gradient produced non-finite entries")
+    return np.sqrt(sq)
+
+
 # ---------------------------------------------------------------------------
 # weighted norms
 
@@ -203,8 +229,7 @@ def weighted_sup_norm(field: MapField, p: float) -> float:
 
 def x_norm(field: MapField) -> float:
     """Discrete norm of the correction space: weights (1+|x|)^2 and (1+|x|)^3."""
-    g = gradient(field)
-    gmag = np.sqrt((g * g).sum(axis=(-2, -1)))
+    gmag = gradient_norm(field)
     r = np.broadcast_to(field.radii[..., 0], gmag.shape)
     return (weighted_sup_norm(field, 2.0)
             + float(((1.0 + r) ** 3 * gmag).max()))

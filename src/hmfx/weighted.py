@@ -19,12 +19,6 @@ from .fields import MapField
 from .grids import RadialGrid, SphereGrid, gauss_legendre
 
 
-def potential(x, n: int = 3):
-    """f(x) = |x|^2 / 4 + n / 2 for Cartesian points (..., n)."""
-    x = np.asarray(x, dtype=float)
-    return 0.25 * (x * x).sum(axis=-1) + 0.5 * n
-
-
 def potential_radial(r, n: int = 3):
     r = np.asarray(r, dtype=float)
     return 0.25 * r * r + 0.5 * n
@@ -76,19 +70,24 @@ def weighted_laplacian_field(field: MapField) -> MapField:
 
 
 def _tangent_frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (e1, e2) completing each unit vector in ``axes`` (B, 3)
-    (the construction of Duff et al. 2017)."""
-    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
+    """Orthonormal (e1, e2), each (3, B), completing each unit vector in
+    ``axes`` (3, B) (the construction of Duff et al. 2017)."""
+    x, y, z = axes
     sign = np.where(z >= 0.0, 1.0, -1.0)
     a = -1.0 / (sign + z)
     b = x * y * a
-    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
-    e2 = np.stack([b, sign + y * y * a, -y], axis=-1)
+    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x])
+    e2 = np.stack([b, sign + y * y * a, -y])
     return e1, e2
 
 
-# points per batch; each batch holds B x n_theta x n_phi directions
-_CHUNK = 256
+# points per batch.  A batch's directions and data samples take about
+# 50 KiB per point; from 16 points up the allocator maps and unmaps, or
+# grows and trims, its heap for every batch.  Counted with ru_minflt over
+# one benchmark `caloric` op (2,762 points) in a fresh process: 13k minor
+# page faults at 256 points, 16-26k at 32-64, 4.6k at 16, under 130 at 8.
+# Below 8 the fixed cost of each batch's few dozen numpy calls dominates.
+_CHUNK = 8
 
 
 class CapRule:
@@ -107,23 +106,30 @@ class CapRule:
         return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
 
     @cached_property
-    def _azimuth(self) -> np.ndarray:
+    def _azimuth(self) -> tuple[np.ndarray, np.ndarray]:
         psi = np.arange(self.n_phi) * (2.0 * np.pi / self.n_phi)
-        return np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+        return np.cos(psi), np.sin(psi)
 
     def nodes(self, axes: np.ndarray, u_max: np.ndarray):
         """Directions (B, n_theta, n_phi, 3), polar nodes u (B, n_theta) and
-        weights (B, n_theta) per node row, the azimuth weight included."""
+        weights (B, n_theta) per node row, the azimuth weight included.
+
+        The directions are a view of a component-major (3, B, n_theta,
+        n_phi) array: each component of u0(dirs) and the quadrature sum
+        over nodes then read contiguous memory instead of striding over a
+        trailing component axis.
+        """
         xi, w_xi = self._polar
         u = u_max[:, None] * xi[None, :]
         w = (u_max * (2.0 * np.pi / self.n_phi))[:, None] * w_xi[None, :]
+        axes = axes.T
         e1, e2 = _tangent_frames(axes)
-        ring = (self._azimuth[None, :, 0, None] * e1[:, None, :]
-                + self._azimuth[None, :, 1, None] * e2[:, None, :])  # (B, n_phi, 3)
+        cos_psi, sin_psi = self._azimuth
+        ring = cos_psi * e1[:, :, None] + sin_psi * e2[:, :, None]  # (3, B, n_phi)
         sin_g = np.sqrt(u * (2.0 - u))
-        dirs = ((1.0 - u)[:, :, None, None] * axes[:, None, None, :]
-                + sin_g[:, :, None, None] * ring[:, None, :, :])
-        return dirs, u, w
+        dirs = (((1.0 - u) * axes[:, :, None])[..., None]
+                + sin_g[..., None] * ring[:, :, None, :])
+        return np.moveaxis(dirs, 0, -1), u, w
 
 
 class CaloricQuadrature:
@@ -144,6 +150,11 @@ class CaloricQuadrature:
     every axis is a trigonometric polynomial of degree below ``n_phi``
     (constants, corotational maps, the identity); on Lipschitz data its
     error is set by the kink.
+
+    Points are processed in batches of ``_CHUNK`` (8) whose cap directions
+    are stored component-major (see ``CapRule.nodes``); batches that small
+    reuse the heap the allocator already holds instead of faulting in
+    fresh pages for every batch.
     """
 
     cap = 14.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmfx.fields import (CorotationalProfile, MapField, ball_average,
-                         gradient, load_field_csv, load_profile_csv,
+                         gradient, gradient_norm, load_field_csv, load_profile_csv,
                          save_field_csv, save_profile_csv, weighted_sup_norm,
                          x_norm)
 from hmfx.grids import RadialGrid, SphereGrid
@@ -44,6 +44,22 @@ class TestMapField:
         interior = slice(1, -1)
         err = np.abs(g - 2.0 * fld.points)[interior]
         assert err.max() < 1e-6
+
+    @pytest.mark.parametrize("sphere", [SphereGrid(10, 20), SphereGrid(16, 32)])
+    def test_gradient_norm_is_the_tensor_norm(self, grids, sphere):
+        # the frame form of |grad u| against the Cartesian tensor, on a
+        # smooth map and on noise (origin row included)
+        radial, _ = grids
+        smooth = MapField.from_function(radial, sphere, lambda p: np.stack(
+            [np.sin(p[..., 0] + 0.3 * p[..., 1]), p[..., 0] * np.cos(p[..., 2]),
+             np.exp(-(p**2).sum(axis=-1) / 9.0), p[..., 1] * p[..., 2]], axis=-1))
+        noise = np.random.default_rng(2).standard_normal(smooth.values.shape)
+        noise[0] = noise[0, 0, 0]
+        for fld in (smooth, smooth.with_values(noise)):
+            ref = np.sqrt((gradient(fld) ** 2).sum(axis=(-2, -1)))
+            got = gradient_norm(fld)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
 
 class TestNorms:

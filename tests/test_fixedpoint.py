@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmfx import fixedpoint
-from hmfx.boundary import corotational_map
+from hmfx.boundary import corotational_map, lipschitz_wedge_map
 from hmfx.cli import EXIT_OK, main
 from hmfx.config import RunConfig
 from hmfx.corotational import profile_grid, solve_gl_corot
@@ -16,7 +16,8 @@ from hmfx.fixedpoint import (LinearizedOperator, assemble_Q, assemble_rhs,
                              verify_decay)
 from hmfx.grids import SphereGrid
 from hmfx.target import TargetSphere
-from hmfx.weighted import caloric_extension_points, weighted_laplacian_field
+from hmfx.weighted import (caloric_extension, caloric_extension_points,
+                           weighted_laplacian_field)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,54 @@ class TestPicard:
         angle_1d = np.arctan2(np.interp(r, profile.grid.nodes, profile.psi),
                               np.interp(r, profile.grid.nodes, profile.phi))
         assert np.abs(angle_3d - angle_1d).max() < 5e-2
+
+
+class TestWarmStart:
+    """Each Picard step starts GMRES from the previous iterate."""
+
+    @pytest.fixture(scope="class", params=["corotational(0.1)", "lipschitz-wedge"])
+    def half_way(self, request, grids):
+        # sigma = 0.5 on the default 8 x 16 grid
+        radial, sphere = grids
+        if request.param == "lipschitz-wedge":
+            return caloric_extension(path_map(lipschitz_wedge_map(), 0.5),
+                                     radial, sphere)
+        return caloric_corotational_field(path_map(corotational_map(0.1), 0.5),
+                                          radial, sphere)
+
+    @staticmethod
+    def _run(U0, monkeypatch, warm):
+        solve = LinearizedOperator.solve
+        solves = []
+
+        def recorded(self, rhs, guess=None):
+            W = solve(self, rhs, guess if warm else None)
+            solves.append((self, rhs, W))
+            return W
+
+        with monkeypatch.context() as m:
+            m.setattr(LinearizedOperator, "solve", recorded)
+            state = picard_iterate(U0, 10.0)
+        assert state.converged
+        return state, solves
+
+    def test_true_residual_meets_the_tolerance(self, half_way, monkeypatch):
+        _, solves = self._run(half_way, monkeypatch, warm=True)
+        for op, rhs, W in solves:
+            b = op._pack(rhs)
+            res = np.linalg.norm(b - op._pack(op.apply(W)))
+            assert res <= fixedpoint.LINEAR_RTOL * np.linalg.norm(b)
+
+    def test_fewer_iterations_same_limit(self, half_way, monkeypatch):
+        warm, _ = self._run(half_way, monkeypatch, warm=True)
+        cold, _ = self._run(half_way, monkeypatch, warm=False)
+        counts = warm.linear_iterations
+        assert counts[0] == cold.linear_iterations[0]
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
+        assert sum(counts) < sum(cold.linear_iterations)
+        assert len(warm.step_norms) == len(cold.step_norms)
+        scale = np.abs(cold.V.values).max()
+        assert np.abs(warm.V.values - cold.V.values).max() <= 1e-10 * scale
 
 
 def path_and_field(U0, sigma):

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfc
 
-from hmfx.boundary import constant_map, corotational_map, identity_sphere_map
+from hmfx.boundary import (builtin_boundary, constant_map, corotational_map,
+                           identity_sphere_map)
 from hmfx.fields import MapField
 from hmfx.grids import RadialGrid, SphereGrid
 from hmfx.weighted import (CaloricQuadrature, caloric_extension,
-                           caloric_extension_points, potential,
-                           potential_radial, weighted_laplacian_field,
-                           weighted_laplacian_profile)
+                           caloric_extension_points, potential_radial,
+                           weighted_laplacian_field, weighted_laplacian_profile)
 
 from conftest import loglog_slope
 
@@ -99,13 +102,6 @@ class TestDriftOperator:
                       - lap_p[1:-1, None, None])
         assert diff.max() < 1e-4
 
-    def test_potential_gradient(self):
-        x = np.array([[1.0, 2.0, -0.5]])
-        n = 3
-        f = potential(x, n)
-        r2 = (x**2).sum(axis=-1)
-        np.testing.assert_allclose(f, r2 / 4.0 + n / 2.0)
-
 
 class TestCaloricExtension:
     def test_constant_data_extends_exactly(self):
@@ -183,3 +179,94 @@ class TestCaloricExtension:
         quad = CaloricQuadrature()
         ext = quad.extend(u0, np.array([[r, 0.0, 0.0]]), t=1.0)
         assert np.linalg.norm(ext) <= 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# reference: the cap rule with the component axis last (B, n_theta, n_phi, 3)
+
+
+def aos_nodes(rule, axes, u_max):
+    """Cap directions, polar nodes and weights, built array-of-structures."""
+    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
+    sign = np.where(z >= 0.0, 1.0, -1.0)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
+    e2 = np.stack([b, sign + y * y * a, -y], axis=-1)
+    xi, w_xi = rule._polar
+    u = u_max[:, None] * xi[None, :]
+    w = (u_max * (2.0 * np.pi / rule.n_phi))[:, None] * w_xi[None, :]
+    psi = np.arange(rule.n_phi) * (2.0 * np.pi / rule.n_phi)
+    azimuth = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    ring = (azimuth[None, :, 0, None] * e1[:, None, :]
+            + azimuth[None, :, 1, None] * e2[:, None, :])
+    sin_g = np.sqrt(u * (2.0 - u))
+    dirs = ((1.0 - u)[:, :, None, None] * axes[:, None, None, :]
+            + sin_g[:, :, None, None] * ring[:, None, :, :])
+    return dirs, u, w
+
+
+def aos_extend(quad, u0, points, t):
+    """``CaloricQuadrature.extend`` on ``aos_nodes``, one batch."""
+    y = np.asarray(points, dtype=float).reshape(-1, 3) / np.sqrt(t)
+    R = np.linalg.norm(y, axis=-1)
+    axes = np.divide(y, R[:, None], out=np.zeros_like(y), where=R[:, None] > 0.0)
+    axes[R == 0.0, 2] = 1.0
+    u_max = quad.cap**2 / np.maximum(R * R, 0.5 * quad.cap**2)
+    dirs, u, w = aos_nodes(quad.sphere, axes, u_max)
+    a = R[:, None] * (1.0 - u)
+    kernel = np.exp(-0.25 * (R * R)[:, None] * u * (2.0 - u)) * (
+        (a * a + 2.0) * np.sqrt(np.pi) * erfc(-0.5 * a)
+        + 2.0 * a * np.exp(-0.25 * a * a))
+    return np.einsum("bj,bjkm->bm", (4.0 * np.pi) ** -1.5 * w * kernel, u0(dirs))
+
+
+def _points(n, seed):
+    """Radii through the cap switch R = cap / sqrt(2), random directions."""
+    switch = CaloricQuadrature.cap / np.sqrt(2.0)
+    radii = np.concatenate([[0.0], np.linspace(0.1, 40.0, n // 2),
+                            switch + np.linspace(-0.2, 0.2, n - n // 2 - 1)])
+    dirs = np.random.default_rng(seed).normal(size=(radii.size, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[1:3] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    return radii[:, None] * dirs
+
+
+class TestCaloricLayout:
+    def test_nodes_bit_identical_to_array_of_structures(self):
+        quad = CaloricQuadrature()
+        pts = _points(40, 5)[1:]
+        R = np.linalg.norm(pts, axis=-1)
+        axes = pts / R[:, None]
+        u_max = quad.cap**2 / np.maximum(R * R, 0.5 * quad.cap**2)
+        dirs, u, w = quad.sphere.nodes(axes, u_max)
+        ref = aos_nodes(quad.sphere, axes, u_max)
+        assert dirs.shape == ref[0].shape
+        for got, want in zip((dirs, u, w), ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ["lipschitz-wedge", "identity-sphere",
+                                      "corotational(0.3)"])
+    @pytest.mark.parametrize("t", [1.0, 0.37, 2.5])
+    def test_extend_matches_array_of_structures(self, spec, t):
+        # the points straddle R = cap / sqrt(2) after the time rescaling
+        u0 = builtin_boundary(spec)
+        quad = CaloricQuadrature()
+        pts = np.sqrt(t) * _points(60, 6)
+        got = quad.extend(u0, pts, t=t)
+        ref = aos_extend(quad, u0, pts, t)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_extend_peak_memory(self):
+        # 1,536 points; a batch is a few hundred KiB of directions
+        u0 = builtin_boundary("lipschitz-wedge")
+        quad = CaloricQuadrature()
+        pts = np.random.default_rng(8).normal(size=(1536, 3)) * 10.0
+        quad.extend(u0, pts[:8])  # cached rule nodes are not counted
+        tracemalloc.start()
+        try:
+            quad.extend(u0, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
