@@ -6,7 +6,9 @@ angles, prints the shooting parameters and far-field coefficients, then
 runs the monitoring-quantity diagnostics on the exact constant-angle
 branch.  Writes CSV artifacts under --out (default ./reference-out).
 Exits 1 when a fitted first coefficient c1 misses the far-field recursion
-by more than 2% (acceptance criterion 3).
+by more than 2% (acceptance criterion 3), or when a profile's far-field
+series tail at 1.5 r_max leaves a shot of the same slope to r = 100 by
+more than the shooting tolerance tol.shoot.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import numpy as np
 from hmfx import solve_corot, save_profile_csv
 from hmfx.asymptotics import hmf_coefficients
 from hmfx.boundary import corotational_map
+from hmfx.config import RunConfig
 from hmfx.corotational import shoot_hm
 from hmfx.diagnostics import (bochner_check, energy_inequality_report,
                               eps_regularity_scan, monotonicity_table,
@@ -34,7 +37,8 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
 
     print("== equivariant expander family ==")
-    c1_misses = []
+    c1_misses, tail_misses = [], []
+    tol_shoot = RunConfig({}).get_tolerance("tol.shoot")
     for h_inf in (0.05, 0.1, 0.2, 0.3):
         res = solve_corot(args.n, h_inf)
         # the angle h = atan2(p, q) of U = (p omega, q) moves by
@@ -46,9 +50,17 @@ def main():
         print(f"h_inf={h_inf:4.2f}  slope={res.slope:+.6f}  "
               f"c1={res.farfield_coeff:+.6f}  (predicted {pred:+.6f}, "
               f"error {100 * rel:.2f}%)  residual={res.residual_sup:.2e}")
+        # past its last node the profile is the far-field series
+        r_far = 1.5 * res.profile.grid.r_max
+        tail_dev = max(np.abs(np.subtract(
+            res.dense(r_far), shoot_hm(args.n, res.slope, 100.0).dense(r_far))))
+        print(f"             tail at r={r_far:g}: deviation {tail_dev:.2e} "
+              f"from the r_max=100 shot (tolerance {tol_shoot:g})")
         save_profile_csv(res.profile, args.out / f"profile_h{h_inf:g}.csv")
         if rel > 0.02:
             c1_misses.append(h_inf)
+        if not tail_dev <= tol_shoot:
+            tail_misses.append(h_inf)
 
     print("\n== constant-angle branch diagnostics ==")
     sol = equator_solution()
@@ -80,8 +92,10 @@ def main():
     if c1_misses:
         print(f"\nFAIL: fitted c1 off the recursion by more than 2% at "
               f"h_inf = {c1_misses}")
-        return 1
-    return 0
+    if tail_misses:
+        print(f"\nFAIL: far-field tail off the r_max=100 shot by more than "
+              f"{tol_shoot:g} at h_inf = {tail_misses}")
+    return 1 if c1_misses or tail_misses else 0
 
 
 if __name__ == "__main__":

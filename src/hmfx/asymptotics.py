@@ -58,12 +58,6 @@ class AsymptoticSeries:
     def is_equivariant(self) -> bool:
         return self.sphere is None
 
-    def evaluate(self, r: np.ndarray) -> np.ndarray:
-        """Partial sums at radii r, shaped r.shape + one coefficient's shape."""
-        r = np.asarray(r, dtype=float)
-        powers = r[..., None] ** (-2.0 * np.arange(len(self.coefficients)))
-        return np.tensordot(powers, self.coefficients, axes=1)
-
     def sup_norms(self) -> list[float]:
         """sup |u_i| for i >= 1 (decay of the coefficient ladder)."""
         norms = np.linalg.norm(self.coefficients[1:], axis=-1)

@@ -282,8 +282,9 @@ def _diag_radii(cfg: RunConfig) -> tuple[list[float], list[float]]:
     return probes, mono
 
 
-def _resolve_solution(cfg: RunConfig, probes: list[float],
-                      mono: list[float]) -> solutions.SelfSimilarSolution:
+def _resolve_solution(cfg: RunConfig) -> solutions.SelfSimilarSolution:
+    """The solution ``diagnose`` reads: an exact branch, or a shot to
+    ``grid.r_max`` whose far-field series tail covers every larger radius."""
     r_max = _truncation_radius(cfg)
     u0 = _boundary(cfg, _three_dimensional(cfg, "diagnose"))
     if cfg.get_str("run.boundary") == "constant":
@@ -292,14 +293,6 @@ def _resolve_solution(cfg: RunConfig, probes: list[float],
         raise ConfigError("diagnostics need corotational or constant data")
     if abs(u0.h_inf - np.pi / 2.0) < 1e-12:
         return solutions.equator_solution()
-    # shoot past the farthest profile radius |x| / sqrt(t) that diagnose
-    # reads: kernel slices reach |x0| + 2 (the cutoff radius) at
-    # t = 1 - 4 R^2, for the table radii and the scan radius, and the
-    # Pohozaev slab reaches the first probe + 2 at t = 1/2
-    R_max = max(mono[-1], diagnostics.SCAN_RADIUS)
-    reach = max((max(probes) + 2.0) / np.sqrt(1.0 - 4.0 * R_max**2),
-                np.sqrt(2.0) * (probes[0] + 2.0))
-    r_max = max(r_max, float(reach))
     result = solve_corot(3, u0.h_inf, r_max=r_max,
                          tol=_checked_tolerance(cfg, "tol.shoot"))
     return solutions.from_shooting(result)
@@ -307,7 +300,7 @@ def _resolve_solution(cfg: RunConfig, probes: list[float],
 
 def cmd_diagnose(cfg: RunConfig, out: pathlib.Path) -> dict:
     probe_radii, mono_radii = _diag_radii(cfg)
-    sol = _resolve_solution(cfg, probe_radii, mono_radii)
+    sol = _resolve_solution(cfg)
     slack = cfg.get_tolerance("tol.slack")
     eps0 = cfg.get_tolerance("tol.eps0")
     bound_c = cfg.get_float("tol.C")

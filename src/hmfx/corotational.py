@@ -24,6 +24,8 @@ import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .asymptotics import gl_coefficients, hmf_coefficients
+from .boundary import corotational_map
 from .errors import (GridError, IntegrationError, NonconvergenceError,
                      NotAttainedError, PartialResultError,
                      ShootingDivergedError)
@@ -79,17 +81,20 @@ def _series_seed(a: float, n: int, r0: float) -> tuple[float, float]:
 
 
 class HermiteProfile:
-    """Piecewise-quintic Hermite radial profile r -> (h(r), h'(r)).
+    """Radial profile r -> (h(r), h'(r)) on [0, inf): piecewise quintic
+    Hermite up to its last node, the far-field series past it.
 
-    Built on fixed nodes from the node values (h, h', h''), so it is C^2;
-    the shooting profile's nodes are the integrator's output radii, not
-    its accepted steps, and a penalized (psi, phi) profile uses one per
-    component on its collocation grid.  Calling it locates each radius
-    with one ``searchsorted`` and evaluates h and h' together by Horner's
-    rule; radii past the last node use the last piece.
+    The pieces are built on fixed nodes from the node values (h, h', h''),
+    so they are C^2; the shooting profile's nodes are the integrator's
+    output radii, not its accepted steps, and a penalized (psi, phi)
+    profile uses one per component on its collocation grid.  Past the last
+    node r_N the profile is c0 + c1 r^-2 + c2 r^-4 with ``tail`` = (c1, c2)
+    from the far-field recursion and ``limit`` = c0 matched to h(r_N).
+    Calling it locates each radius with one ``searchsorted`` and evaluates
+    h and h' together by Horner's rule.
     """
 
-    def __init__(self, r, h, dh, d2h):
+    def __init__(self, r, h, dh, d2h, tail):
         self.r, self.h, self.dh, self.d2h = (np.asarray(a, dtype=float)
                                              for a in (r, h, dh, d2h))
         dx = np.diff(self.r)
@@ -103,15 +108,19 @@ class HermiteProfile:
             -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * e0 - 2.0 * e1),
             6.0 * dy - 3.0 * d0 - 3.0 * d1 - 0.5 * (e0 - e1)])
         self._inv_dx = 1.0 / dx
+        self.tail = tuple(float(c) for c in tail)
+        x_end = self.r[-1] ** -2.0
+        self.limit = float(self.h[-1] - x_end * (self.tail[0] + x_end * self.tail[1]))
 
     @classmethod
     def constant(cls, value: float, r_max: float) -> "HermiteProfile":
         zero = np.zeros(2)
-        return cls([0.0, r_max], np.full(2, value), zero, zero)
+        return cls([0.0, r_max], np.full(2, value), zero, zero, (0.0, 0.0))
 
     def negated(self) -> "HermiteProfile":
         """The profile of -h; rounding is sign-symmetric, so it is exact."""
-        return HermiteProfile(self.r, -self.h, -self.dh, -self.d2h)
+        return HermiteProfile(self.r, -self.h, -self.dh, -self.d2h,
+                              (-self.tail[0], -self.tail[1]))
 
     def __call__(self, r) -> tuple[np.ndarray, np.ndarray]:
         r = np.asarray(r, dtype=float)
@@ -121,14 +130,32 @@ class HermiteProfile:
         s = (r - self.r[k]) * inv_dx
         c0, c1, c2, c3, c4, c5 = (c[k] for c in self._coef)
         h = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
-        dh = (c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5))))
-        return h, dh * inv_dx
+        dh = (c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))) \
+            * inv_dx
+        far = r > self.r[-1]
+        if np.any(far):
+            r_far = np.where(far, r, self.r[-1])
+            x = 1.0 / (r_far * r_far)
+            t1, t2 = self.tail
+            h = np.where(far, self.limit + x * (t1 + x * t2), h)
+            dh = np.where(far, -2.0 * x / r_far * (t1 + 2.0 * x * t2), dh)
+        return h, dh
+
+
+def _angle_tail(n: int, h_inf: float) -> tuple[float, float]:
+    """(a1, a2) of the far-field angle h_inf + a1 r^-2 + a2 r^-4: the angle
+    h = atan2(p, q) of the order-2 harmonic series (p_i, q_i) at h_inf."""
+    (p0, q0), (p1, q1), (p2, q2) = hmf_coefficients(
+        corotational_map(h_inf, n), 2, n=n).coefficients
+    a1 = p1 * q0 - q1 * p0
+    return a1, p2 * q0 - q2 * p0 - (p1 * p0 + q1 * q0) * a1
 
 
 @dataclass(frozen=True)
 class ShootingResult:
     """Outcome of one shooting integration of the angle equation.
 
+    ``h_inf`` is ``dense.limit``, the constant of its far-field series.
     ``shots``, ``steps`` and ``rhs_evaluations`` are the cost of producing
     it: one shot's LSODA steps and right-hand-side calls from ``shoot_hm``,
     the totals over the whole slope search from ``solve_corot``.
@@ -175,9 +202,10 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0) -> ShootingResult:
     uniform spacing of at most 0.025.  The profile is the quintic Hermite
     interpolant on those radii (not on LSODA's accepted steps), with h''
     from the equation and a node (0, slope, 0) at the origin.  A node with
-    |h'| >= 50 is a blow-up.  The limit angle is the constant of a
-    {1, r^-2} least-squares fit on [r_max / 2, r_max], which removes the
-    leading truncation error of simply reading off h(r_max).
+    |h'| >= 50 is a blow-up.  A {1, r^-2} least-squares fit on the nodes in
+    [r_max / 2, r_max] gives the far-field coefficient and the angle at
+    which the order-2 series tail is built; the limit angle is that tail's
+    constant, matched to the last node.
     """
     if r_max < MIN_TRUNCATION_RADIUS:
         raise GridError(
@@ -204,15 +232,15 @@ def shoot_hm(n: int, slope: float, r_max: float = 40.0) -> ShootingResult:
     if blown.size:
         raise ShootingDivergedError(
             f"angle integration blew up at r = {r[blown[0]]:.3f} for slope {slope:g}")
+    fit = (r >= 0.5 * r_max) & (r <= r_max)
+    basis = np.stack([np.ones(fit.sum()), r[fit]**-2.0], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, h[fit], rcond=None)
     dense = HermiteProfile(np.concatenate([[0.0], r]),
                            np.concatenate([[0.0], h]),
                            np.concatenate([[slope], dh]),
-                           np.concatenate([[0.0], _hm_d2h(n, r, h, dh)]))
-
-    r_fit = np.linspace(0.5 * r_max, r_max, 40)
-    basis = np.stack([np.ones_like(r_fit), r_fit**-2.0], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, dense(r_fit)[0], rcond=None)
-    h_inf, farfield = float(coef[0]), float(coef[1])
+                           np.concatenate([[0.0], _hm_d2h(n, r, h, dh)]),
+                           _angle_tail(n, float(coef[0])))
+    h_inf, farfield = dense.limit, float(coef[1])
 
     profile = CorotationalProfile(grid, n, angle=dense(grid.nodes)[0])
 
@@ -307,20 +335,6 @@ def solve_corot(n: int, h_inf: float, r_max: float = 40.0,
 # penalized (psi, phi) system
 
 
-def gl_farfield_correction(n: int, K: float, psi_inf: float, phi_inf: float,
-                           r: float) -> tuple[float, float]:
-    """Order-1 far-field values of the penalized system at radius r.
-
-    The first correction of the series is the rank-one-solved coefficient
-    of the boundary map (see the asymptotics module); in the equivariant
-    variables it is closed form.
-    """
-    lam = 2.0 * K / (2.0 * K + 1.0)
-    psi1 = -(n - 1) * psi_inf + lam * (n - 1) * psi_inf**3
-    phi1 = lam * (n - 1) * psi_inf**2 * phi_inf
-    return psi_inf + psi1 / r**2, phi_inf + phi1 / r**2
-
-
 def gl_residual(profile: CorotationalProfile, K: float) -> np.ndarray:
     """Stacked finite-difference residuals of the penalized system (interior)."""
     if profile.is_angle_form:
@@ -359,8 +373,9 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
     """Damped-Newton collocation for the penalized equivariant system.
 
     The default grid is ``profile_grid(40)``.  Boundary conditions:
-    psi(0) = 0, phi'(0) = 0, and far-field values at r_max corrected by
-    the order-1 series (removes the O(r_max^-2) truncation bias).  The
+    psi(0) = 0, phi'(0) = 0, and far-field values at r_max from the
+    order-1 series of ``gl_coefficients`` (removes the O(r_max^-2)
+    truncation bias).  The
     step is halved until the residual decreases, at most 30 times, in each
     of at most 60 Newton steps.
     """
@@ -372,7 +387,9 @@ def solve_gl_corot(n: int, K: float, psi_inf: float, phi_inf: float,
     N = grid.size
     r = grid.nodes[1:-1]
     d1w = grid.d1_weights
-    psi_bc, phi_bc = gl_farfield_correction(n, K, psi_inf, phi_inf, grid.r_max)
+    u0, u1 = gl_coefficients(corotational_map(np.arctan2(psi_inf, phi_inf), n),
+                             K, 1, n=n).coefficients
+    psi_bc, phi_bc = u0 + u1 / grid.r_max**2
 
     if initial is not None and not initial.is_angle_form:
         psi, phi = initial.psi.copy(), initial.phi.copy()

@@ -83,9 +83,5 @@ class TimeWindowError(HmfxError):
     """A monotonicity probe sits too close to the initial time."""
 
 
-class SupportError(HmfxError):
-    """A test vector field is not compactly supported in the grid interior."""
-
-
 class ConfigError(HmfxError):
     """Malformed run configuration."""

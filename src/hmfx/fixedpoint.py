@@ -21,6 +21,7 @@ import scipy.sparse.linalg
 
 from .asymptotics import _loglog_slope
 from .boundary import BoundaryMap, corotational_map
+from .config import DEFAULTS
 from .errors import ConfigError, DivergenceError, GridError, LinearSolveError
 from .fields import MapField, gradient_norm, x_norm
 from .grids import RadialGrid, SphereGrid
@@ -36,8 +37,10 @@ PICARD_MAX_STEPS = 40
 
 
 def default_grids() -> tuple[RadialGrid, SphereGrid]:
-    """Coarse default product grid; finer sphere grids use the same solve."""
-    return RadialGrid.graded(16.0, 0.2), SphereGrid(8, 16)
+    """The product grid of the default ``grid.fp_*`` configuration keys."""
+    d = {k: float(v) for k, v in DEFAULTS.items() if k.startswith("grid.fp_")}
+    return (RadialGrid.graded(d["grid.fp_r_max"], d["grid.fp_inner_spacing"]),
+            SphereGrid(int(d["grid.fp_n_theta"]), int(d["grid.fp_n_phi"])))
 
 
 # ---------------------------------------------------------------------------

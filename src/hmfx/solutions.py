@@ -3,7 +3,9 @@
 A self-similar solution is determined by its profile U at time 1 through
 u(x, t) = U(x / sqrt(t)).  Every wrapped profile is equivariant, U(y) =
 (P(|y|) y/|y|, Q(|y|)), so a solution is its radial profile r -> (P, P',
-Q, Q') plus the penalty flavor and the limit angle of its boundary data.
+Q, Q') on [0, inf) plus the penalty flavor and the limit angle of its
+boundary data; a solved profile continues past its last node by its
+far-field series, so every point x and time t > 0 can be evaluated.
 U, its gradient, its time derivative and the radial energy density e(r)
 are closed-form in (P, P', Q, Q'), one profile call each; the boundary
 density |grad u_0|^2 / 2 = sin^2(h_inf) / |x|^2 follows from the limit
@@ -16,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import gl_coefficients
+from .boundary import corotational_map
 from .corotational import HermiteProfile
-from .errors import DomainExceededError, HmfxError, TimeOrderError
+from .errors import HmfxError, TimeOrderError
 
 
 def _over_r(p, dp, r):
@@ -29,18 +33,17 @@ def _over_r(p, dp, r):
 class SelfSimilarSolution:
     """Profile-at-time-1 view of an equivariant map R^3 x (0, inf) -> R^4.
 
-    ``radial(r) -> (P, P', Q, Q')`` is the profile, U(y) = (P(|y|) y/|y|,
-    Q(|y|)); ``flavor`` names the penalty ('hm' for exactly sphere-valued
-    maps, 'gl' for the quartic one with strength K); ``boundary_angle`` is
-    the limit angle h_inf of the 0-homogeneous boundary data, None when
-    unknown.
+    ``radial(r) -> (P, P', Q, Q')`` is the profile at every r >= 0, U(y) =
+    (P(|y|) y/|y|, Q(|y|)); ``flavor`` names the penalty ('hm' for exactly
+    sphere-valued maps, 'gl' for the quartic one with strength K);
+    ``boundary_angle`` is the limit angle h_inf of the 0-homogeneous
+    boundary data, None when unknown.
     """
 
     name: str
     flavor: str  # 'hm' | 'gl'
     radial: object
     K: float | None = None
-    domain_radius: float = np.inf
     boundary_angle: float | None = None
 
     def __post_init__(self):
@@ -49,21 +52,12 @@ class SelfSimilarSolution:
         if self.flavor != "hm" and (self.K is None or self.K <= 0):
             raise HmfxError("penalized solutions need a positive K")
 
-    def check_radii(self, r) -> None:
-        """Reject profile radii |x| / sqrt(t) past the profile domain."""
-        if np.any(np.asarray(r) > self.domain_radius * (1.0 + 1e-12)):
-            raise DomainExceededError(
-                "evaluation point leaves the profile domain after rescaling")
-
     def rescale(self, points, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Profile points y = x / sqrt(t) and their radii, checked against
-        the domain."""
+        """Profile points y = x / sqrt(t) and their radii."""
         if t <= 0.0:
             raise TimeOrderError("self-similar evaluation needs t > 0")
         y = np.asarray(points, dtype=float) / np.sqrt(t)
-        r = np.linalg.norm(y, axis=-1)
-        self.check_radii(r)
-        return y, r
+        return y, np.linalg.norm(y, axis=-1)
 
     def _polar(self, points, t: float):
         """(r, omega = y / |y|, P, P', Q, Q') at y = x / sqrt(t); omega is
@@ -129,9 +123,9 @@ def from_angle(angle, name: str = "equivariant",
                boundary_angle: float | None = None) -> SelfSimilarSolution:
     """Sphere-valued equivariant solution from an angle profile h(r).
 
-    ``angle(r) -> (h, h')`` evaluates the profile and its slope at radii
-    together (a shooting result's Hermite profile does); the radial
-    profile is (P, Q) = (sin h, cos h).
+    ``angle(r) -> (h, h')`` evaluates the profile and its slope at any
+    radii together (a shooting result's Hermite profile does, its series
+    tail past the last node); the radial profile is (P, Q) = (sin h, cos h).
     """
 
     def radial(r):
@@ -172,18 +166,22 @@ def from_gl_profile(profile, K: float) -> SelfSimilarSolution:
     """Wrap a converged penalized (psi, phi) collocation profile, n = 3.
 
     P and Q are quintic Hermite interpolants of the node values with the
-    grid's 3-point first and second derivatives; the boundary angle is
-    that of the last node.
+    grid's 3-point first and second derivatives.  Past the last node each
+    continues by its order-2 ``gl_coefficients`` series, built at the last
+    node's angle; the boundary angle is that of the two series' limits.
     """
     if profile.n != 3 or profile.is_angle_form:
         raise HmfxError("needs an n = 3 profile in (psi, phi) form")
     grid = profile.grid
-    hp, hq = (HermiteProfile(grid.nodes, v, grid.apply_d1(v), grid.apply_d2(v))
-              for v in (profile.psi, profile.phi))
+    _, (p1, q1), (p2, q2) = gl_coefficients(
+        corotational_map(np.arctan2(profile.psi[-1], profile.phi[-1])),
+        K, 2).coefficients
+    hp, hq = (HermiteProfile(grid.nodes, v, grid.apply_d1(v), grid.apply_d2(v),
+                             tail)
+              for v, tail in ((profile.psi, (p1, p2)), (profile.phi, (q1, q2))))
 
     def radial(r):
         return (*hp(r), *hq(r))
 
-    h_inf = float(np.arctan2(profile.psi[-1], profile.phi[-1]))
     return SelfSimilarSolution(f"gl(K={K:g})", "gl", radial, K=K,
-                               domain_radius=grid.r_max, boundary_angle=h_inf)
+                               boundary_angle=float(np.arctan2(hp.limit, hq.limit)))

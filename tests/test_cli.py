@@ -298,22 +298,25 @@ class TestDiagnose:
         monkeypatch.setattr(cli, "solve_corot", recorded)
         cfg = RunConfig({"run.boundary": "corotational(0.2)",
                          "tol.shoot": "1e-6"})
-        radii = cli._diag_radii(cfg)
-        cli._resolve_solution(cfg, *radii)
+        cli._resolve_solution(cfg)
         assert tols == [pytest.approx(1e-6)]
-        cli._resolve_solution(RunConfig(cfg.values, "strict"), *radii)
+        cli._resolve_solution(RunConfig(cfg.values, "strict"))
         assert tols[1] == pytest.approx(0.5e-6)
 
-    def test_profile_read_within_its_last_node(self, tmp_path, monkeypatch):
+    def test_reads_past_the_last_node_follow_a_longer_shot(self, tmp_path,
+                                                           monkeypatch):
+        # diagnose shoots to grid.r_max = 40 and reads the profile to
+        # |x| / sqrt(t) = 48.5; the radii past the last node go to the
+        # series tail, which must agree with a shot of the same slope to 60
         solve = cli.solve_corot
-        last_nodes, reads = [], []
+        results, reads = [], []
 
         def recorded(*args, **kwargs):
             res = solve(*args, **kwargs)
-            last_nodes.append(res.dense.r[-1])
+            results.append(res)
 
             def dense(r):
-                reads.append(float(np.max(r, initial=0.0)))
+                reads.append(np.ravel(r))
                 return res.dense(r)
 
             return dataclasses.replace(res, dense=dense)
@@ -322,8 +325,17 @@ class TestDiagnose:
         code, _, _ = run(tmp_path, "diagnose",
                          "--set", "run.boundary=corotational(0.2)")
         assert code == EXIT_OK
-        assert len(last_nodes) == 1 and reads
-        assert max(reads) <= last_nodes[0]
+        assert len(results) == 1
+        res = results[0]
+        assert res.dense.r[-1] == 40.0 + 0.1
+        r = np.unique(np.concatenate(reads))
+        far = r[r > res.dense.r[-1]]
+        assert far.size and far.max() > 48.0
+        ref = corotational.shoot_hm(3, res.slope, r_max=60.0)
+        h, dh = res.dense(far)
+        h_ref, dh_ref = ref.dense(far)
+        assert np.abs(h - h_ref).max() <= 1e-8
+        assert np.abs(dh - dh_ref).max() <= 1e-8
 
     @pytest.mark.parametrize("key, value", [
         ("diag.probe_radii", ""),

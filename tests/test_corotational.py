@@ -8,8 +8,8 @@ import scipy.sparse.linalg
 
 from hmfx import corotational
 from hmfx.corotational import (HermiteProfile, _dense_defect, continuation,
-                               gl_farfield_correction, gl_residual, shoot_hm,
-                               solve_corot, solve_gl_corot)
+                               gl_residual, shoot_hm, solve_corot,
+                               solve_gl_corot)
 from hmfx.errors import (IntegrationError, NotAttainedError,
                          ShootingDivergedError)
 from hmfx.grids import RadialGrid
@@ -88,6 +88,42 @@ class TestShooting:
         assert np.diff(res.dense.r[2:]).max() <= 0.025 + 1e-12
 
 
+class TestFarFieldTail:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("h_inf", [0.2, 1.0, 1.5])
+    def test_tail_matches_longer_shot(self, n, h_inf):
+        # past r_max the profile is the order-2 series; a shot of the same
+        # slope to 100 integrates the equation over the same radii, and its
+        # own tail constant is the limit angle the series reports
+        res = solve_corot(n, h_inf, r_max=40.0)
+        ref = shoot_hm(n, res.slope, r_max=100.0)
+        r = np.linspace(40.0, 60.0, 401)
+        h, dh = res.dense(r)
+        h_ref, dh_ref = ref.dense(r)
+        assert np.abs(h - h_ref).max() <= 1e-8
+        assert np.abs(dh - dh_ref).max() <= 1e-8
+        assert res.h_inf == pytest.approx(ref.h_inf, abs=1e-8)
+
+    def test_tail_continues_the_last_node(self):
+        res = shoot_hm(3, 0.3)
+        r_end = res.dense.r[-1]
+        c1, c2 = res.dense.tail
+        assert res.h_inf == res.dense.limit
+        assert res.dense.limit + c1 / r_end**2 + c2 / r_end**4 == \
+            pytest.approx(res.dense.h[-1], abs=1e-15)
+        # the slope of the series meets the shot's to its O(r^-7) truncation
+        h, dh = res.dense(np.array([r_end, np.nextafter(r_end, np.inf)]))
+        assert abs(h[1] - h[0]) <= 1e-15
+        assert abs(dh[1] - dh[0]) <= 1e-10
+
+    def test_constant_profile_has_no_tail(self):
+        prof = HermiteProfile.constant(0.7, 40.0)
+        h, dh = prof(np.array([10.0, 50.0, 1e6]))
+        assert np.array_equal(h, np.full(3, 0.7))
+        assert np.array_equal(dh, np.zeros(3))
+        assert prof.limit == 0.7
+
+
 class TestBoundaryValueSolve:
     def test_hits_requested_angle(self):
         res = solve_corot(3, 0.2, tol=1e-10)
@@ -154,7 +190,7 @@ class TestResidual:
         r = np.linspace(0.0, 10.0, 401)
         t = np.tanh(r)
         wrong = HermiteProfile(r, 0.3 * t, 0.3 * (1.0 - t * t),
-                               -0.6 * t * (1.0 - t * t))
+                               -0.6 * t * (1.0 - t * t), (0.0, 0.0))
         assert _dense_defect(wrong, 3, r[(r > 0.1) & (r < 9.9)]).max() > 1e-3
 
 
@@ -231,11 +267,22 @@ class TestPenalizedSystem:
         assert np.abs(res).max() <= 1e-10
 
     def test_farfield_correction_shape(self):
-        # correction pushes |u| below 1 at the boundary for K finite
+        # the boundary row holds the order-1 series at r_max, which pushes
+        # |u| below 1 for K finite; closed form of the first coefficient:
+        # psi1 = (n-1)(lam psi^3 - psi), phi1 = lam (n-1) psi^2 phi with
+        # lam = 2K / (2K + 1)
         n, K = 3, 10.0
         psi_inf, phi_inf = np.sin(0.2), np.cos(0.2)
-        psi_r, phi_r = gl_farfield_correction(n, K, psi_inf, phi_inf, 40.0)
-        modulus = np.hypot(psi_r, phi_r)
+        profile, _ = solve_gl_corot(n, K, psi_inf, phi_inf)
+        lam = 2.0 * K / (2.0 * K + 1.0)
+        psi1 = (n - 1) * (lam * psi_inf**3 - psi_inf)
+        phi1 = lam * (n - 1) * psi_inf**2 * phi_inf
+        r_max = profile.grid.r_max
+        assert profile.psi[-1] == pytest.approx(psi_inf + psi1 / r_max**2,
+                                                abs=1e-15)
+        assert profile.phi[-1] == pytest.approx(phi_inf + phi1 / r_max**2,
+                                                abs=1e-15)
+        modulus = np.hypot(profile.psi[-1], profile.phi[-1])
         assert modulus < 1.0
         assert abs(modulus - 1.0) < 1e-2
 

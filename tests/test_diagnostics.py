@@ -26,8 +26,9 @@ def equator():
 
 @pytest.fixture(scope="module")
 def corot():
-    # r_max covers the probe-20 tables, which read the profile to |y| ~ 50
-    return from_shooting(solve_corot(3, 0.2, r_max=50.5))
+    # the probe-20 tables read the profile to |y| ~ 48.5, past r_max = 40,
+    # where the series tail takes over
+    return from_shooting(solve_corot(3, 0.2))
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,18 @@ class TestMonotonicity:
         monotonicity_table(sol, (np.array([10.0, 0.0, 0.0]), 1.0), MONO_RADII)
         assert len(calls) == 1
 
+    def test_tables_do_not_depend_on_the_truncation_radius(self, corot):
+        # criterion 7's tables at r_max = 40 read past the last node; the
+        # series tail keeps them within 1e-7 of an r_max = 60 solve
+        # (extrapolating the last quintic piece put Psi at probe 20 24% off)
+        longer = from_shooting(solve_corot(3, 0.2, r_max=60.0))
+        for rho in (5.0, 10.0, 20.0):
+            z0 = (np.array([rho, 0.0, 0.0]), 1.0)
+            a = monotonicity_table(corot, z0, MONO_RADII)
+            b = monotonicity_table(longer, z0, MONO_RADII)
+            np.testing.assert_allclose(a.phi_values, b.phi_values, rtol=1e-7)
+            np.testing.assert_allclose(a.psi_values, b.psi_values, rtol=1e-7)
+
     def test_radius_window_enforced(self, equator):
         from hmfx.errors import TimeWindowError
         with pytest.raises(TimeWindowError):
@@ -232,6 +245,27 @@ class TestPohozaev:
 
 
 class TestRegularityChain:
+    @pytest.mark.parametrize("name", ["equator", "corot", "gl"])
+    def test_scan_batches_its_probes(self, name, request):
+        # one density call for every probe's Psi slices, with the values of
+        # one scan per probe
+        sol = request.getfixturevalue(name)
+        probes = [np.array([r, 0.0, 0.0]) for r in (0.5, 5.0, 10.0, 20.0)]
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return sol.radial(r)
+
+        batched = eps_regularity_scan(dataclasses.replace(sol, radial=counted),
+                                      probes)
+        assert len(calls) == 1 + 3 * sum(not v.flagged for v in batched)
+        for probe, v in zip(probes, batched):
+            (single,) = eps_regularity_scan(sol, [probe])
+            assert v.psi_value == pytest.approx(single.psi_value, rel=1e-14)
+            assert v.flagged == single.flagged
+            assert v.sup_energy == single.sup_energy
+
     def test_far_probes_unflagged(self, equator):
         scan = eps_regularity_scan(
             equator, [np.array([r, 0.0, 0.0]) for r in (10.0, 20.0)])

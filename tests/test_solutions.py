@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmfx.corotational import profile_grid, solve_corot, solve_gl_corot
-from hmfx.errors import DomainExceededError, TimeOrderError
+from hmfx.errors import TimeOrderError
 from hmfx.grids import RadialGrid
 from hmfx.solutions import (constant_solution, equator_solution, from_angle,
                             from_gl_profile, from_shooting)
@@ -104,8 +104,17 @@ class TestWrappers:
                                     grid=profile_grid(20.0))
         sol = from_gl_profile(profile, 10.0)
         assert sol.K == 10.0
-        with pytest.raises(DomainExceededError):
-            sol.evaluate(np.array([[30.0, 0.0, 0.0]]))
+        # past r_max = 20 the series tails follow a collocation on [0, 30]
+        # as closely as the two collocations agree inside (3.2e-5)
+        longer, _ = solve_gl_corot(3, 10.0, np.sin(0.2), np.cos(0.2),
+                                   grid=profile_grid(30.0))
+        far = longer.grid.nodes >= 20.0
+        P, _, Q, _ = sol.radial(longer.grid.nodes[far])
+        assert np.abs(P - longer.psi[far]).max() <= 3e-5
+        assert np.abs(Q - longer.phi[far]).max() <= 3e-5
+        # the tails' limit is the boundary angle; the last node's angle is
+        # 9.7e-4 off
+        assert sol.boundary_angle == pytest.approx(0.2, abs=1e-5)
         # interpolant reproduces the collocation values at the nodes
         r = profile.grid.nodes[40]
         val = sol.evaluate(np.array([[r, 0.0, 0.0]]))
